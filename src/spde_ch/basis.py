@@ -42,6 +42,22 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
+def axis_eigenfunctions(bc: str, modes, x, deriv: int = 0) -> np.ndarray:
+    """deriv-th derivative of the 1-d factors e_k at x, shape (n_modes,) + x.shape.
+
+    Uses d^m/dx^m cos(kx) = k^m cos(kx + m pi/2), and likewise for sin.
+    """
+    k = np.asarray(modes, dtype=float)
+    x = np.asarray(x, dtype=float)
+    phase = np.multiply.outer(k, x) + deriv * math.pi / 2
+    scale = (math.sqrt(2.0 / math.pi) * k**deriv).reshape(k.shape + (1,) * x.ndim)
+    if _check_bc(bc) == NEUMANN:
+        out = scale * np.cos(phase)
+        out[k == 0] = 1.0 / math.sqrt(math.pi) if deriv == 0 else 0.0
+        return out
+    return scale * np.sin(phase)
+
+
 class Basis:
     """Truncated eigenbasis with M modes per axis in dimension d.
 
@@ -114,17 +130,9 @@ class Basis:
 
     def axis_function(self, k: int, x, deriv: int = 0):
         """Evaluate the 1-d factor e_k (or its deriv-th derivative) at x."""
-        x = np.asarray(x, dtype=float)
         k = int(k)
         self._check_modes(np.array([k]))
-        if self.bc == NEUMANN:
-            if k == 0:
-                if deriv == 0:
-                    return np.full_like(x, 1.0 / math.sqrt(math.pi))
-                return np.zeros_like(x)
-            # d^m/dx^m cos(kx) = k^m cos(kx + m pi/2)
-            return math.sqrt(2.0 / math.pi) * k**deriv * np.cos(k * x + deriv * math.pi / 2)
-        return math.sqrt(2.0 / math.pi) * k**deriv * np.sin(k * x + deriv * math.pi / 2)
+        return axis_eigenfunctions(self.bc, [k], x, deriv)[0]
 
     def eigenfunction(self, k, points, derivs=None):
         """Evaluate the tensor eigenfunction e_k at points.

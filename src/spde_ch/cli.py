@@ -20,11 +20,11 @@ import math
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
+from scipy import fft as sfft
 
 from . import __version__
 from .basis import DIRICHLET, NEUMANN, Basis
@@ -37,7 +37,7 @@ from .noise import make_backend
 from .regularity import (TIME, Ensemble, holder_exponent, moment_track,
                          structure_function)
 from .solver import (ModelSpec, SolverConfig, energy_diagnostics,
-                     picard_solve, simulate)
+                     model_violations, picard_solve, simulate)
 
 COMMANDS = ("check-covariance", "green", "simulate", "picard",
             "regularity", "malliavin")
@@ -202,28 +202,15 @@ def validate(config: RunConfig) -> dict:
     options.eps is given); and a cutoff norm exponent q <= d, which cannot
     express initial data in L^q with q > d.
     """
-    violations = []
     model = dict(config.model or {})
     dim = int(config.basis["dim"])
-    bc = config.basis.get("bc", NEUMANN)
-
     reaction = model.get("reaction")
-    if reaction is not None:
-        if float(reaction[0]) <= 0:
-            violations.append({
-                "hypothesis": "reaction-leading-coefficient",
-                "detail": f"r3 = {reaction[0]} must be positive"})
-        if bc == DIRICHLET and float(reaction[3]) != 0.0:
-            violations.append({
-                "hypothesis": "reaction-zero-at-origin",
-                "detail": f"Dirichlet conditions need r0 = 0, got {reaction[3]}"})
-
-    for entry in model.get("drifts", ()):
-        orders = tuple(int(a) for a in entry.get("orders", ()))
-        if len(orders) != dim or any(a < 0 or a % 2 for a in orders):
-            violations.append({
-                "hypothesis": "drift-even-derivative-orders",
-                "detail": f"orders {orders} must be even, >= 0, length {dim}"})
+    drift_orders = [tuple(int(a) for a in entry.get("orders", ()))
+                    for entry in model.get("drifts", ())]
+    violations = [{"hypothesis": name, "detail": detail}
+                  for name, detail in model_violations(
+                      config.basis.get("bc", NEUMANN), dim, reaction,
+                      drift_orders)]
 
     f = config.build_covariance()
     if f is not None:
@@ -328,19 +315,16 @@ def _sha256(path) -> str:
 # commands
 
 
-def _run_paths(config, model, solver, basis, backend, f, n_paths, threads,
-               force, u0):
-    def one(path):
-        return simulate(model, solver, basis, backend=backend, u0=u0,
-                        path=path, covariance=f, force=force)
-
-    if threads <= 1 or n_paths <= 1:
-        return [one(p) for p in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n_paths)))
+def _run_paths(model, solver, basis, backend, f, n_paths, force, u0):
+    # Paths run serially with one FFT worker: per-step transforms act on a
+    # single small field, where worker dispatch costs more than it saves.
+    with sfft.set_workers(1):
+        return [simulate(model, solver, basis, backend=backend, u0=u0,
+                         path=path, covariance=f, force=force)
+                for path in range(n_paths)]
 
 
-def _cmd_check_covariance(config, basis, outdir, h, force, threads):
+def _cmd_check_covariance(config, basis, outdir, h, force):
     if config.covariance is None:
         raise ConfigError("check-covariance needs a covariance block")
     dim = basis.dim
@@ -369,7 +353,7 @@ def _cmd_check_covariance(config, basis, outdir, h, force, threads):
     return ["covariance.csv"]
 
 
-def _cmd_green(config, basis, outdir, h, force, threads):
+def _cmd_green(config, basis, outdir, h, force):
     d = basis.dim
     taus = config.options.get("taus") or [1e-3, 1e-2, 1e-1]
     center = [math.pi / 2] * d
@@ -389,7 +373,7 @@ def _cmd_green(config, basis, outdir, h, force, threads):
     return ["green.csv"]
 
 
-def _cmd_simulate(config, basis, outdir, h, force, threads):
+def _cmd_simulate(config, basis, outdir, h, force):
     model = config.build_model()
     solver = config.build_solver()
     f, backend = config.build_backend(basis)
@@ -397,8 +381,7 @@ def _cmd_simulate(config, basis, outdir, h, force, threads):
         raise ConfigError("model has noise but no covariance block was given")
     n_paths = int(config.options.get("paths", 1))
     u0 = config.initial_state(basis)
-    trajs = _run_paths(config, model, solver, basis, backend, f, n_paths,
-                       threads, force, u0)
+    trajs = _run_paths(model, solver, basis, backend, f, n_paths, force, u0)
 
     summary, series, finals = [], [], []
     for traj in trajs:
@@ -427,7 +410,7 @@ def _cmd_simulate(config, basis, outdir, h, force, threads):
     return files
 
 
-def _cmd_picard(config, basis, outdir, h, force, threads):
+def _cmd_picard(config, basis, outdir, h, force):
     model = config.build_model()
     solver = config.build_solver()
     f, backend = config.build_backend(basis)
@@ -447,15 +430,15 @@ def _cmd_picard(config, basis, outdir, h, force, threads):
     return ["picard.csv", "picard.jsonl"]
 
 
-def _cmd_regularity(config, basis, outdir, h, force, threads):
+def _cmd_regularity(config, basis, outdir, h, force):
     model = config.build_model()
     solver = config.build_solver()
     f, backend = config.build_backend(basis)
     if model.has_noise and backend is None:
         raise ConfigError("model has noise but no covariance block was given")
     n_paths = int(config.options.get("paths", 50))
-    trajs = _run_paths(config, model, solver, basis, backend, f, n_paths,
-                       threads, force, config.initial_state(basis))
+    trajs = _run_paths(model, solver, basis, backend, f, n_paths, force,
+                       config.initial_state(basis))
     ensemble = Ensemble(basis, trajs)
 
     dt = solver.dt * solver.store_every
@@ -487,7 +470,7 @@ def _cmd_regularity(config, basis, outdir, h, force, threads):
     return ["structure.csv", "fits.jsonl", "moments.csv"]
 
 
-def _cmd_malliavin(config, basis, outdir, h, force, threads):
+def _cmd_malliavin(config, basis, outdir, h, force):
     model = config.build_model()
     solver = config.build_solver()
     f, backend = config.build_backend(basis)
@@ -504,8 +487,7 @@ def _cmd_malliavin(config, basis, outdir, h, force, threads):
                                           solver.t_final / 4,
                                           solver.t_final / 2]
     u0 = config.initial_state(basis)
-    trajs = _run_paths(config, model, solver, basis, backend, f, n_paths,
-                       threads, force, u0)
+    trajs = _run_paths(model, solver, basis, backend, f, n_paths, force, u0)
 
     eig_rows, dec_rows, gammas = [], [], []
     for traj in trajs:
@@ -557,8 +539,11 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     """Execute one command and return the manifest that was written.
 
     The validation report gates the run: violated hypotheses abort unless
-    force is set.  Outputs land in config.outdir; the manifest records the
-    config (and its hash), library versions, and a sha256 per emitted file.
+    force is set.  threads is the scipy.fft worker count for the work
+    after the path loop (energy grids, stacked tangent blocks); the paths
+    themselves run serially.  Outputs land in config.outdir; the manifest
+    records the config (and its hash), library versions, and a sha256 per
+    emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:
@@ -570,7 +555,8 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     h = config.config_hash()
-    files = _HANDLERS[config.command](config, basis, outdir, h, force, threads)
+    with sfft.set_workers(max(1, int(threads))):
+        files = _HANDLERS[config.command](config, basis, outdir, h, force)
 
     manifest = {
         "command": config.command,
@@ -617,7 +603,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None, help="override the output dir")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (fallback: ${THREADS_ENV})")
+                       help="scipy.fft workers for the work after the "
+                            "serial path loop (fallback: "
+                            f"${THREADS_ENV})")
         p.add_argument("--force", action="store_true",
                        help="run even when validation reports violations")
     return parser

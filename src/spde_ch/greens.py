@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import NEUMANN, Basis, _check_bc
+from .basis import Basis, _check_bc, axis_eigenfunctions
 
 #: drop modes whose semigroup weight is below this at the smallest time gap
 MODE_WEIGHT_FLOOR = 1e-16
@@ -72,16 +72,6 @@ def mode_cutoff(tau: float, tol: float = MODE_WEIGHT_FLOOR) -> int:
     return max(2, int(math.ceil(lam_max)) + 1)
 
 
-def _axis_factors(bc: str, modes: np.ndarray, x: float, deriv: int) -> np.ndarray:
-    k = modes.astype(float)
-    if bc == NEUMANN:
-        out = np.sqrt(2.0 / math.pi) * k**deriv * np.cos(k * x + deriv * math.pi / 2)
-        if modes[0] == 0:
-            out[0] = 1.0 / math.sqrt(math.pi) if deriv == 0 else 0.0
-        return out
-    return np.sqrt(2.0 / math.pi) * k**deriv * np.sin(k * x + deriv * math.pi / 2)
-
-
 def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
                    time_deriv: int = 0, modes_per_axis: int | None = None):
     """Evaluate D_x^a d_t^b G(t, x; t - tau, y) by truncated mode summation.
@@ -117,13 +107,8 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
         raise ValueError(
             f"pointwise kernel sum needs {cap}^{dim} modes; "
             "reduce dim, increase tau, or pass modes_per_axis")
-    start = 0 if bc == NEUMANN else 1
-    modes = np.arange(start, start + cap)
-    sq = modes.astype(float) ** 2
-    lam = sq
-    for _ in range(dim - 1):
-        lam = lam[..., None] + sq
-    lam2 = lam**2
+    basis = Basis(bc, dim, cap)
+    lam2 = basis.biharmonic_eigenvalues
 
     out = np.empty(n)
     for i in range(n):
@@ -132,8 +117,8 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
             w = w * (-lam2) ** time_deriv
         term = w
         for ax in range(dim):
-            ux = _axis_factors(bc, modes, xs[i, ax], space_derivs[ax])
-            uy = _axis_factors(bc, modes, ys[i, ax], 0)
+            ux = axis_eigenfunctions(bc, basis.axis_modes, xs[i, ax], space_derivs[ax])
+            uy = axis_eigenfunctions(bc, basis.axis_modes, ys[i, ax])
             shape = [1] * dim
             shape[ax] = cap
             term = term * (ux * uy).reshape(shape)
@@ -167,21 +152,17 @@ def chapman_kolmogorov_check(bc: str, dim: int, t: float, r: float, s: float,
 
 
 def _composed_green(bc, dim, tau1, tau2, x, y, cap):
-    start = 0 if bc == NEUMANN else 1
-    modes = np.arange(start, start + cap)
-    sq = modes.astype(float) ** 2
-    lam = sq
-    for _ in range(dim - 1):
-        lam = lam[..., None] + sq
-    w = np.exp(-lam**2 * tau1) * np.exp(-lam**2 * tau2)
+    basis = Basis(bc, dim, cap)
+    lam2 = basis.biharmonic_eigenvalues
+    w = np.exp(-lam2 * tau1) * np.exp(-lam2 * tau2)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     term = w
     for ax in range(dim):
-        ux = _axis_factors(bc, modes, x[ax], 0)
-        uy = _axis_factors(bc, modes, y[ax], 0)
+        ux = axis_eigenfunctions(bc, basis.axis_modes, x[ax])
+        uy = axis_eigenfunctions(bc, basis.axis_modes, y[ax])
         shape = [1] * dim
-        shape[ax] = len(modes)
+        shape[ax] = cap
         term = term * (ux * uy).reshape(shape)
     return float(term.sum())
 

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis
+from .basis import Basis, axis_eigenfunctions
 from .covariance import CovarianceSpec, small_ball_integral
-from .greens import _axis_factors
 from .noise import NoiseBackend
 from .solver import (EXPONENTIAL_EULER, SCHEMES, ModelSpec, SolverConfig,
-                     Trajectory, _propagators)
+                     Trajectory, _propagators, _scheme_update)
 
 #: Interior-margin proxy constant: evaluation points must keep a distance
 #: of at least 2 * C2 * tau^{1/4} from the boundary of [0, pi]^d.
@@ -71,10 +70,10 @@ def _check_points(basis: Basis, points) -> np.ndarray:
 
 def _mode_values_at(basis: Basis, x: np.ndarray) -> np.ndarray:
     """Tensor e_k(x) over all retained multi-indices k, shape basis.shape."""
-    out = _axis_factors(basis.bc, basis.axis_modes, float(x[0]), 0)
+    out = axis_eigenfunctions(basis.bc, basis.axis_modes, x[0])
     for a in range(1, basis.dim):
         out = np.multiply.outer(
-            out, _axis_factors(basis.bc, basis.axis_modes, float(x[a]), 0))
+            out, axis_eigenfunctions(basis.bc, basis.axis_modes, x[a]))
     return out
 
 
@@ -241,7 +240,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 
     cols = _direction_matrix(backend)
     n_dir = len(cols)
-    decay, phi1, noise_w = _propagators(basis, dt)
+    update, noise_w = _scheme_update(basis, dt, config.scheme)
     lam2 = basis.biharmonic_eigenvalues
     grid = basis.grid()
     col_vals = None if scalar_sigma else basis.inverse_transform(cols)
@@ -263,7 +262,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
         if active_rows:
             block = D[:active_rows].reshape((-1,) + basis.shape)
             u_vals = u_ref = T_vals = T_ref = None
-            drift = None
+            drift = 0.0
 
             if reaction_p is not None or drift_ps:
                 u_ref = basis.values_on_refined_grid(u_m)
@@ -279,25 +278,19 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                 g_vals = np.asarray(forcing_p(t, grid, u_vals), dtype=float)
                 term = K_m * basis.transform(
                     np.broadcast_to(g_vals, basis.shape) * T_vals)
-                drift = term if drift is None else drift + term
+                drift = drift + term
             for (orders, _), bp in zip(model.drifts, drift_ps):
-                term = basis.derivative(
+                drift = drift + basis.derivative(
                     basis.coeffs_from_refined_grid(bp(u_ref) * T_ref), orders)
-                drift = term if drift is None else drift + term
 
-            if config.scheme == EXPONENTIAL_EULER:
-                new = decay * block
-                if drift is not None:
-                    new = new + dt * phi1 * drift
-            else:
-                new = block if drift is None else block + dt * drift
-                new = new / (1.0 + lam2 * dt)
+            new = update(block, drift)
             if sigma_p is not None:
                 sp_vals = np.asarray(sigma_p(t, grid, u_vals), dtype=float)
                 dW_vals = basis.inverse_transform(traj.noise_coeffs[m])
                 new = new + noise_w * basis.transform(
                     np.broadcast_to(sp_vals, basis.shape) * T_vals * dW_vals)
             D[:active_rows] = new.reshape(D[:active_rows].shape)
+            del new  # freed before the next step allocates its block temporaries
 
         row = row_of.get(m)
         if row is not None:
@@ -458,7 +451,7 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     if v.shape != (l,):
         raise ValueError(f"v must have shape ({l},)")
 
-    decay, _, noise_w = _propagators(basis, dt)
+    _, _, noise_w = _propagators(basis, dt)
     lam2 = basis.biharmonic_eigenvalues
     steps = np.arange(m0, n_to)
     ages = t0 - times[steps + 1]

@@ -14,7 +14,8 @@ of the correlation kernel (see covariance.gram_operator).  Backends:
 
 Randomness is counter-based (Philox): the stream for a given (seed, step,
 path) triple is identical no matter how many other draws happened before,
-which makes restarts and per-path parallelism reproducible by construction.
+which makes restarts and any subset or order of paths reproducible by
+construction.
 """
 
 from __future__ import annotations

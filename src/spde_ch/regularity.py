@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DIRICHLET, NEUMANN, Basis
+from .basis import DIRICHLET, Basis, axis_eigenfunctions
 from .covariance import CovarianceSpec, holder_integrability
 from .greens import KernelExponents
 from .solver import ModelSpec, SolverConfig, simulate
@@ -35,18 +35,6 @@ TIME = "time"
 
 #: fitted slopes at or above this value only bound the regularity from below
 SATURATION_SLOPE = 2.0
-
-
-def _axis_values(bc, modes, points):
-    """Values of the 1-d eigenfunctions at arbitrary points, (n_modes, n_pts)."""
-    modes = np.asarray(modes, dtype=float)
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    phase = np.outer(modes, points)
-    if bc == NEUMANN:
-        out = math.sqrt(2.0 / math.pi) * np.cos(phase)
-        out[modes == 0] = 1.0 / math.sqrt(math.pi)
-        return out
-    return math.sqrt(2.0 / math.pi) * np.sin(phase)
 
 
 @dataclass
@@ -137,7 +125,7 @@ class LinearOracle:
                 raise ValueError(f"x must have {basis.dim} components")
             w = np.ones(basis.shape)
             for i in range(basis.dim):
-                vals = _axis_values(basis.bc, basis.axis_modes, x[i])[:, 0] ** 2
+                vals = axis_eigenfunctions(basis.bc, basis.axis_modes, x[i]) ** 2
                 shape = [1] * basis.dim
                 shape[i] = M
                 w = w * vals.reshape(shape)
@@ -173,8 +161,8 @@ class LinearOracle:
         base = pts[pts + h <= math.pi + 1e-12]
         if base.size == 0:
             raise ValueError(f"lag {h} exceeds the domain")
-        A0 = _axis_values(basis.bc, basis.axis_modes, base)
-        A1 = _axis_values(basis.bc, basis.axis_modes, base + h)
+        A0 = axis_eigenfunctions(basis.bc, basis.axis_modes, base)
+        A1 = axis_eigenfunctions(basis.bc, basis.axis_modes, base + h)
         inc_sq = np.mean((A1 - A0) ** 2, axis=1)  # per axis mode
 
         M = basis.modes_per_axis

@@ -65,6 +65,30 @@ def truncation_weight(r, n):
     return out
 
 
+def model_violations(bc: str, dim: int, reaction, drift_orders) -> list:
+    """(hypothesis id, detail) of each violated model hypothesis, in order.
+
+    The hypotheses: a positive leading reaction coefficient r3, R(0) = 0
+    under Dirichlet conditions, and even non-negative drift derivative
+    orders, one per axis.
+    """
+    out = []
+    if reaction is not None:
+        if float(reaction[0]) <= 0:
+            out.append(("reaction-leading-coefficient",
+                        f"leading reaction coefficient r3 must be positive, "
+                        f"got {reaction[0]}"))
+        if bc == DIRICHLET and float(reaction[3]) != 0.0:
+            out.append(("reaction-zero-at-origin",
+                        f"Dirichlet models need R(0) = r0 = 0, got {reaction[3]}"))
+    for orders in drift_orders:
+        if len(orders) != dim or any(a < 0 or a % 2 for a in orders):
+            out.append(("drift-even-derivative-orders",
+                        f"drift derivative orders {orders} must be even, >= 0, "
+                        f"one per axis of {dim}"))
+    return out
+
+
 @dataclass
 class ModelSpec:
     """Coefficients and boundary condition of one semilinear model.
@@ -97,24 +121,17 @@ class ModelSpec:
     def validate(self, dim: int):
         if self.bc not in (NEUMANN, DIRICHLET):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.reaction is not None:
-            r = tuple(float(c) for c in self.reaction)
-            if len(r) != 4:
-                raise ValueError("reaction takes four coefficients (r3, r2, r1, r0)")
-            if r[0] <= 0:
-                raise ValueError(f"leading reaction coefficient must be positive, got {r[0]}")
-            if self.bc == DIRICHLET and r[3] != 0.0:
-                raise ValueError("Dirichlet models need R(0) = 0 (no constant term)")
-            if self.lipschitz_only:
-                raise ValueError("a cubic reaction is not globally Lipschitz")
-        for orders, fn in self.drifts:
-            orders = tuple(int(a) for a in np.atleast_1d(orders))
-            if len(orders) != dim:
-                raise ValueError(f"drift orders must have {dim} entries, got {orders}")
-            if any(a < 0 or a % 2 for a in orders):
-                raise ValueError(f"drift derivative orders must be even, got {orders}")
-            if not callable(fn):
-                raise ValueError("drift coefficient must be callable")
+        if self.reaction is not None and len(self.reaction) != 4:
+            raise ValueError("reaction takes four coefficients (r3, r2, r1, r0)")
+        drift_orders = [tuple(int(a) for a in np.atleast_1d(orders))
+                        for orders, _ in self.drifts]
+        violations = model_violations(self.bc, dim, self.reaction, drift_orders)
+        if violations:
+            raise ValueError(violations[0][1])
+        if self.reaction is not None and self.lipschitz_only:
+            raise ValueError("a cubic reaction is not globally Lipschitz")
+        if not all(callable(fn) for _, fn in self.drifts):
+            raise ValueError("drift coefficient must be callable")
         if self.forcing is not None and not callable(self.forcing):
             raise ValueError("forcing must be callable")
         if self.sigma is not None and not (
@@ -196,6 +213,18 @@ def _propagators(basis: Basis, dt: float):
     return decay, phi1, noise_w
 
 
+def _scheme_update(basis: Basis, dt: float, scheme: str = EXPONENTIAL_EULER):
+    """The scheme's update (u, drift) -> next state before noise, and noise_w.
+
+    The update also acts on stacked states (..., M..M).
+    """
+    decay, phi1, noise_w = _propagators(basis, dt)
+    if scheme == EXPONENTIAL_EULER:
+        return (lambda u, drift: decay * u + dt * phi1 * drift), noise_w
+    denominator = 1.0 + basis.biharmonic_eigenvalues * dt
+    return (lambda u, drift: (u + dt * drift) / denominator), noise_w
+
+
 def _reaction_fn(coeffs_tuple):
     r3, r2, r1, r0 = coeffs_tuple
 
@@ -238,6 +267,27 @@ def _noise_term(model: ModelSpec, basis: Basis, t: float, grid_values: np.ndarra
     return basis.transform(np.broadcast_to(sig_vals, dW_vals.shape) * dW_vals)
 
 
+def _stepper(model: ModelSpec, config: SolverConfig, basis: Basis):
+    """One step (u, t, increment, frozen) -> (new u, cutoff weight, norm).
+
+    The drift and the noise amplitude are evaluated at frozen, which is u
+    itself except in the Picard iteration; norm is its ||.||_q.
+    """
+    update, noise_w = _scheme_update(basis, config.dt, config.scheme)
+
+    def advance(u, t, increment=None, frozen=None):
+        v = u if frozen is None else frozen
+        v_grid = basis.inverse_transform(v)
+        drift_hat, weight, norm = _nonlinearity(model, basis, t, v, v_grid,
+                                                config.q, config.truncation)
+        new = update(u, drift_hat)
+        if increment is not None:
+            new = new + noise_w * _noise_term(model, basis, t, v_grid, increment)
+        return new, weight, norm
+
+    return advance
+
+
 def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
          increment=None):
     """Advance one step from time t; returns (new_coeffs, weight, norm).
@@ -250,18 +300,9 @@ def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
     if not np.all(np.isfinite(coeffs)):
         raise BlowUpError(f"non-finite state entering step at t={t}", time=t)
     model.validate(basis.dim)
-    grid_values = basis.inverse_transform(coeffs)
-    drift_hat, weight, norm = _nonlinearity(model, basis, t, coeffs, grid_values,
-                                            config.q, config.truncation)
-
-    decay, phi1, noise_w = _propagators(basis, config.dt)
-    if config.scheme == EXPONENTIAL_EULER:
-        new = decay * coeffs + config.dt * phi1 * drift_hat
-    else:
-        new = (coeffs + config.dt * drift_hat) / (1.0 + basis.biharmonic_eigenvalues * config.dt)
-    if increment is not None and model.has_noise:
-        new = new + noise_w * _noise_term(model, basis, t, grid_values, increment)
-    return new, weight, norm
+    if not model.has_noise:
+        increment = None
+    return _stepper(model, config, basis)(coeffs, t, increment)
 
 
 def _gate_admissibility(covariance, basis, force):
@@ -302,10 +343,8 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
         if u.shape != basis.shape:
             raise ValueError(f"u0 has shape {u.shape}, expected {basis.shape}")
 
-    decay, phi1, noise_w = _propagators(basis, config.dt)
-    lam2 = basis.biharmonic_eigenvalues
+    advance = _stepper(model, config, basis)
     use_noise = model.has_noise and backend is not None
-    scalar_sigma = use_noise and np.isscalar(model.sigma)
 
     times = [0.0]
     states = [u.copy()]
@@ -316,25 +355,11 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
     exploded = False
 
     for j in range(config.n_steps):
-        t = j * config.dt
-        grid_values = basis.inverse_transform(u)
-        drift_hat, weight, _ = _nonlinearity(model, basis, t, u, grid_values,
-                                             config.q, config.truncation)
-        if config.scheme == EXPONENTIAL_EULER:
-            new = decay * u + config.dt * phi1 * drift_hat
-        else:
-            new = (u + config.dt * drift_hat) / (1.0 + lam2 * config.dt)
-        if use_noise:
-            inc = backend.sample_coefficients(config.dt, step=j, path=path)
-            if scalar_sigma:
-                new = new + noise_w * (float(model.sigma) * inc)
-            else:
-                new = new + noise_w * _noise_term(model, basis, t, grid_values, inc)
-            increments.append(inc)
-        else:
-            increments.append(np.zeros(basis.shape))
+        inc = (backend.sample_coefficients(config.dt, step=j, path=path)
+               if use_noise else None)
+        u, weight, _ = advance(u, j * config.dt, inc)
+        increments.append(inc if use_noise else np.zeros(basis.shape))
         weights.append(weight)
-        u = new
         t_new = (j + 1) * config.dt
 
         finite = bool(np.all(np.isfinite(u)))
@@ -399,8 +424,7 @@ def picard_solve(model: ModelSpec, config: SolverConfig, basis: Basis,
                 for j in range(n_steps)]
     else:
         incs = [None] * n_steps
-    decay, phi1, noise_w = _propagators(basis, config.dt)
-    lam2 = basis.biharmonic_eigenvalues
+    advance = _stepper(model, config, basis)
 
     frozen = np.broadcast_to(u0, (n_steps + 1,) + basis.shape).copy()
     deltas = []
@@ -416,18 +440,8 @@ def picard_solve(model: ModelSpec, config: SolverConfig, basis: Basis,
         new[0] = u0
         u = u0.copy()
         for j in range(n_steps):
-            t = j * config.dt
-            v = frozen[j]
-            v_grid = basis.inverse_transform(v)
-            drift_hat, weight, _ = _nonlinearity(model, basis, t, v, v_grid,
-                                                 config.q, config.truncation)
-            if config.scheme == EXPONENTIAL_EULER:
-                u = decay * u + config.dt * phi1 * drift_hat
-            else:
-                u = (u + config.dt * drift_hat) / (1.0 + lam2 * config.dt)
-            if use_noise:
-                u = u + noise_w * _noise_term(model, basis, t, v_grid, incs[j])
-            weights_last[j] = weight
+            u, weights_last[j], _ = advance(u, j * config.dt, incs[j],
+                                            frozen=frozen[j])
             new[j + 1] = u
         diff = 0.0
         for j in range(n_steps + 1):
@@ -491,7 +505,7 @@ def deterministic_convolution(basis: Basis, v, kernel="G", t0=0.0, t=1.0,
     _, orders = _kernel_order(kernel, basis.dim)
 
     ds = (t - t0) / n_steps
-    decay, phi1, _ = _propagators(basis, ds)
+    update, _ = _scheme_update(basis, ds)
 
     if not callable(v):
         v_hat = basis.transform(np.asarray(v, dtype=float))
@@ -508,7 +522,7 @@ def deterministic_convolution(basis: Basis, v, kernel="G", t0=0.0, t=1.0,
             hat = basis.laplacian(hat)
         elif orders is not None:
             hat = basis.derivative(hat, orders)
-        out = decay * out + ds * phi1 * hat
+        out = update(out, hat)
     return out
 
 
@@ -608,10 +622,9 @@ def energy_diagnostics(traj: Trajectory, basis: Basis, model: ModelSpec = None):
         mean_idx = 0
         out["mean_mode_sq"] = flat[:, mean_idx] ** 2
         safe = np.where(lam > 0, lam, 1.0)
-        hm1 = np.sum(np.where(lam > 0, flat**2 / safe**2, 0.0), axis=1)
-        out["hminus1_sq"] = hm1
+        out["hminus1_sq"] = np.sum(np.where(lam > 0, flat**2 / safe, 0.0), axis=1)
     else:
-        out["hminus1_sq"] = np.sum(flat**2 / lam**2, axis=1)
+        out["hminus1_sq"] = np.sum(flat**2 / lam, axis=1)
 
     if model is not None and model.reaction is not None:
         r3, r2, r1, r0 = (float(c) for c in model.reaction)

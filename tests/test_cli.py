@@ -358,14 +358,18 @@ class TestCommands:
 
 class TestReproducibility:
 
-    def test_same_config_seed_byte_identical(self, tmp_path):
-        data = base_config(tmp_path)
+    @pytest.mark.parametrize("command", ["simulate", "regularity",
+                                         "malliavin"])
+    def test_same_config_seed_byte_identical(self, tmp_path, command):
+        data = base_config(tmp_path, command=command)
         data["options"]["snapshots"] = True
+        if command == "regularity":
+            data["options"]["paths"] = 4
         first = RunConfig.from_dict(dict(data, outdir=str(tmp_path / "a")))
         second = RunConfig.from_dict(dict(data, outdir=str(tmp_path / "b")))
-        run(first, threads=1)
-        run(second, threads=2)
-        for name in ("paths.csv", "series.jsonl", "snapshots.bin"):
+        files = run(first, threads=1)["files"]
+        assert run(second, threads=2)["files"] == files
+        for name in files:
             a = open(os.path.join(first.outdir, name), "rb").read()
             b = open(os.path.join(second.outdir, name), "rb").read()
             assert a == b, f"{name} differs between runs"

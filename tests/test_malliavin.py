@@ -6,9 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spde_ch.basis import Basis, NEUMANN
+from spde_ch.basis import NEUMANN, Basis, axis_eigenfunctions
 from spde_ch.covariance import CovarianceSpec, gram_operator
-from spde_ch.greens import _axis_factors
 from spde_ch.malliavin import (ABSOLUTELY_CONTINUOUS, DEGENERATE,
                                INCONCLUSIVE, MalliavinMatrix,
                                decomposition_terms, density_criterion,
@@ -31,7 +30,7 @@ def ou_variances(basis, t0):
 
 
 def point_modes(basis, pts):
-    return np.stack([_axis_factors(basis.bc, basis.axis_modes, float(p), 0)
+    return np.stack([axis_eigenfunctions(basis.bc, basis.axis_modes, p)
                      for p in np.atleast_2d(pts)[:, 0]])
 
 

@@ -122,6 +122,21 @@ class TestStepBasics:
         np.testing.assert_allclose(
             new, u0 / (1 + basis.biharmonic_eigenvalues * 0.05), rtol=1e-15)
 
+    @pytest.mark.parametrize("scheme", ["exponential-euler", SEMI_IMPLICIT])
+    def test_repeated_steps_reproduce_simulate_bit_for_bit(self, scheme):
+        basis = neumann_basis()
+        backend = make_backend(CovarianceSpec.riesz(1, B=0.5), basis, seed=5)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0), sigma=0.3)
+        cfg = SolverConfig(dt=1e-3, t_final=0.02, scheme=scheme, truncation=4.0)
+        u0 = low_mode_state(basis)
+        traj = simulate(model, cfg, basis, backend=backend, u0=u0, path=2)
+        u = u0
+        for j in range(cfg.n_steps):
+            inc = backend.sample_coefficients(cfg.dt, step=j, path=2)
+            u, weight, _ = step(u, j * cfg.dt, model, cfg, basis, increment=inc)
+            assert weight == traj.weights[j]
+        assert u.tobytes() == traj.final.tobytes()
+
 
 class TestLinearAdditiveVariance:
     """Ornstein-Uhlenbeck laws reproduced per mode by the noise weighting."""
@@ -507,7 +522,7 @@ class TestEnergyDiagnostics:
                         basis, u0=u0)
         en = energy_diagnostics(traj, basis)
         lam = 4.0
-        expect = np.exp(-2 * lam**2 * traj.times) / lam**2
+        expect = np.exp(-2 * lam**2 * traj.times) / lam
         np.testing.assert_allclose(en["hminus1_sq"], expect, rtol=1e-10)
 
     def test_cumulative_dissipation_increases(self):
