@@ -242,14 +242,15 @@ class Basis:
         self._check_grid_shape(coeffs)
         M = self.modes_per_axis
         lead = coeffs.shape[:-self.dim]
-        padded = np.zeros(lead + (factor * M,) * self.dim, dtype=float)
-        padded[(...,) + (slice(0, M),) * self.dim] = coeffs
-        axes = tuple(range(padded.ndim - self.dim, padded.ndim))
         h = self._fine_spacing(factor)
-        scaled = padded / h ** (self.dim / 2.0)
+        padded = np.zeros(lead + (factor * M,) * self.dim, dtype=float)
+        padded[(...,) + (slice(0, M),) * self.dim] = coeffs / h ** (self.dim / 2.0)
+        axes = tuple(range(padded.ndim - self.dim, padded.ndim))
         if self.bc == NEUMANN:
-            return sfft.idctn(scaled, type=2, norm="ortho", axes=axes)
-        return sfft.idstn(scaled, type=1, norm="ortho", axes=axes)
+            return sfft.idctn(padded, type=2, norm="ortho", axes=axes,
+                              overwrite_x=True)
+        return sfft.idstn(padded, type=1, norm="ortho", axes=axes,
+                          overwrite_x=True)
 
     def coeffs_from_refined_grid(self, values: np.ndarray, factor: int = 2) -> np.ndarray:
         """Project fine-grid values back onto the retained modes."""
@@ -263,8 +264,7 @@ class Basis:
             full = sfft.dctn(values, type=2, norm="ortho", axes=axes)
         else:
             full = sfft.dstn(values, type=1, norm="ortho", axes=axes)
-        full = full * h ** (self.dim / 2.0)
-        return np.ascontiguousarray(full[(...,) + (slice(0, M),) * self.dim])
+        return full[(...,) + (slice(0, M),) * self.dim] * h ** (self.dim / 2.0)
 
     def dealiased_apply(self, fn, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
         """Coefficients of fn(u) for a pointwise fn, evaluated alias-free.

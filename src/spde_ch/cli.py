@@ -195,12 +195,13 @@ class RunConfig:
 def validate(config: RunConfig) -> dict:
     """Report-only check of the solvability hypotheses behind a config.
 
-    Flags: non-positive leading reaction coefficient; a constant reaction
-    term under Dirichlet conditions; odd (or negative) drift derivative
-    orders; a covariance kernel that fails the integrability conditions in
-    this dimension (plus the reaction-specific epsilon condition when
-    options.eps is given); and a cutoff norm exponent q <= d, which cannot
-    express initial data in L^q with q > d.
+    Flags: a reaction without four coefficients; non-positive leading
+    reaction coefficient; a constant reaction term under Dirichlet
+    conditions; odd (or negative) drift derivative orders; a covariance
+    kernel that fails the integrability conditions in this dimension
+    (plus the reaction-specific epsilon condition when options.eps is
+    given); and a cutoff norm exponent q <= d, which cannot express
+    initial data in L^q with q > d.
     """
     model = dict(config.model or {})
     dim = int(config.basis["dim"])

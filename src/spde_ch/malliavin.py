@@ -39,6 +39,15 @@ from .solver import (EXPONENTIAL_EULER, SCHEMES, ModelSpec, SolverConfig,
 #: of at least 2 * C2 * tau^{1/4} from the boundary of [0, pi]^d.
 C2_MARGIN = 0.25
 
+#: Bytes of refined-grid values per slice of the tangent block.  Each
+#: step pushes the stacked tangent fields through the linearized scheme
+#: in slices of this size, so its temporaries stay near this many bytes
+#: whatever the number of rows and directions.
+TANGENT_SLICE_BYTES = 2**20
+
+#: Cap on the bytes of the returned tangent arrays (derivatives + leads).
+MAX_TANGENT_BYTES = 2**32
+
 DEGENERATE = "degenerate"
 ABSOLUTELY_CONTINUOUS = "absolutely-continuous"
 INCONCLUSIVE = "inconclusive"
@@ -197,9 +206,16 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     projected amplitude-weighted factor column sigma(u_r) Q^{1/2} e_j
     (times the variance-exact noise scale of the scheme) and then advanced
     by the scheme linearized along the stored path: the cutoff weight of
-    each step is reused as recorded and the stored increments drive the
-    multiplicative term.  thin > 1 keeps every thin-th step only; the
-    matrix quadrature reweights accordingly.
+    each step is reused as recorded.  The multiplicative term needs the
+    increment of each step; it is redrawn from the backend's (step, path)
+    stream, which reproduces the increment simulate() used bit for bit.
+    thin > 1 keeps every thin-th step only; the matrix quadrature
+    reweights accordingly.
+
+    Each step advances the stacked tangent fields in slices of about
+    TANGENT_SLICE_BYTES of refined-grid values, written back in place.
+    Raises ValueError before allocating when derivatives and leads
+    together would exceed MAX_TANGENT_BYTES.
 
     Requires a trajectory recorded at every step (store_every == 1) that
     neither exploded nor crossed its cutoff level before t0.
@@ -238,18 +254,28 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     scalar_sigma = model.sigma is None or not callable(model.sigma)
     sigma0 = float(model.sigma or 0.0) if scalar_sigma else None
 
+    n_total = len(traj.times) - 1
+    r_indices = np.arange(0, n_total, thin)
+    r_times = traj.times[r_indices]
+    n_dir = backend.n_directions
+    nbytes = 2 * len(r_indices) * n_dir * basis.n_modes * 8
+    if nbytes > MAX_TANGENT_BYTES:
+        raise ValueError(
+            f"tangents need {nbytes} bytes ({len(r_indices)} steps x {n_dir} "
+            f"directions x {basis.n_modes} modes, derivatives and leads), "
+            f"above the cap of {MAX_TANGENT_BYTES} bytes; raise thin to keep "
+            "fewer steps")
+
     cols = _direction_matrix(backend)
-    n_dir = len(cols)
     update, noise_w = _scheme_update(basis, dt, config.scheme)
     lam2 = basis.biharmonic_eigenvalues
     grid = basis.grid()
     col_vals = None if scalar_sigma else basis.inverse_transform(cols)
 
-    n_total = len(traj.times) - 1
-    r_indices = np.arange(0, n_total, thin)
-    r_times = traj.times[r_indices]
     D = np.zeros((len(r_indices),) + (n_dir,) + basis.shape)
     leads = np.zeros_like(D)
+    refined = (2 * basis.modes_per_axis) ** basis.dim
+    per_slice = max(1, TANGENT_SLICE_BYTES // (8 * refined))
 
     row_of = {int(r): i for i, r in enumerate(r_indices)}
     active_rows = 0
@@ -260,37 +286,45 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
         K_m = float(traj.weights[m])
 
         if active_rows:
-            block = D[:active_rows].reshape((-1,) + basis.shape)
-            u_vals = u_ref = T_vals = T_ref = None
-            drift = 0.0
-
+            # per-step factors of the linearization, shared by every slice
+            u_ref = u_vals = reaction_ref = g_vals = sp_vals = dW_vals = None
             if reaction_p is not None or drift_ps:
                 u_ref = basis.values_on_refined_grid(u_m)
-                T_ref = basis.values_on_refined_grid(block)
             if forcing_p is not None or sigma_p is not None:
                 u_vals = basis.inverse_transform(u_m)
-                T_vals = basis.inverse_transform(block)
-
             if reaction_p is not None:
-                prod = basis.coeffs_from_refined_grid(reaction_p(u_ref) * T_ref)
-                drift = K_m * basis.laplacian(prod)
+                reaction_ref = reaction_p(u_ref)
             if forcing_p is not None:
-                g_vals = np.asarray(forcing_p(t, grid, u_vals), dtype=float)
-                term = K_m * basis.transform(
-                    np.broadcast_to(g_vals, basis.shape) * T_vals)
-                drift = drift + term
-            for (orders, _), bp in zip(model.drifts, drift_ps):
-                drift = drift + basis.derivative(
-                    basis.coeffs_from_refined_grid(bp(u_ref) * T_ref), orders)
-
-            new = update(block, drift)
+                g_vals = np.broadcast_to(np.asarray(
+                    forcing_p(t, grid, u_vals), dtype=float), basis.shape)
+            drift_refs = [bp(u_ref) for bp in drift_ps]
             if sigma_p is not None:
-                sp_vals = np.asarray(sigma_p(t, grid, u_vals), dtype=float)
-                dW_vals = basis.inverse_transform(traj.noise_coeffs[m])
-                new = new + noise_w * basis.transform(
-                    np.broadcast_to(sp_vals, basis.shape) * T_vals * dW_vals)
-            D[:active_rows] = new.reshape(D[:active_rows].shape)
-            del new  # freed before the next step allocates its block temporaries
+                sp_vals = np.broadcast_to(np.asarray(
+                    sigma_p(t, grid, u_vals), dtype=float), basis.shape)
+                dW_vals = basis.inverse_transform(backend.sample_coefficients(
+                    dt, step=m, path=traj.path))
+
+            fields = D[:active_rows].reshape((-1,) + basis.shape)
+            for lo in range(0, len(fields), per_slice):
+                block = fields[lo:lo + per_slice]
+                drift = 0.0
+                if u_ref is not None:
+                    T_ref = basis.values_on_refined_grid(block)
+                if u_vals is not None:
+                    T_vals = basis.inverse_transform(block)
+                if reaction_ref is not None:
+                    prod = basis.coeffs_from_refined_grid(reaction_ref * T_ref)
+                    drift = K_m * basis.laplacian(prod)
+                if g_vals is not None:
+                    drift = drift + K_m * basis.transform(g_vals * T_vals)
+                for (orders, _), b_ref in zip(model.drifts, drift_refs):
+                    drift = drift + basis.derivative(
+                        basis.coeffs_from_refined_grid(b_ref * T_ref), orders)
+                new = update(block, drift)
+                if sp_vals is not None:
+                    new = new + noise_w * basis.transform(
+                        sp_vals * T_vals * dW_vals)
+                block[...] = new
 
         row = row_of.get(m)
         if row is not None:

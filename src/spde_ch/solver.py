@@ -68,12 +68,17 @@ def truncation_weight(r, n):
 def model_violations(bc: str, dim: int, reaction, drift_orders) -> list:
     """(hypothesis id, detail) of each violated model hypothesis, in order.
 
-    The hypotheses: a positive leading reaction coefficient r3, R(0) = 0
-    under Dirichlet conditions, and even non-negative drift derivative
-    orders, one per axis.
+    The hypotheses: four reaction coefficients, a positive leading
+    coefficient r3, R(0) = 0 under Dirichlet conditions, and even
+    non-negative drift derivative orders, one per axis.  A reaction of
+    the wrong length skips the rules that read its coefficients.
     """
     out = []
-    if reaction is not None:
+    if reaction is not None and len(reaction) != 4:
+        out.append(("reaction-coefficients",
+                    f"reaction takes four coefficients (r3, r2, r1, r0), "
+                    f"got {len(reaction)}"))
+    elif reaction is not None:
         if float(reaction[0]) <= 0:
             out.append(("reaction-leading-coefficient",
                         f"leading reaction coefficient r3 must be positive, "
@@ -180,12 +185,16 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded output of one simulate() run (coefficient space)."""
+    """Recorded output of one simulate() run (coefficient space).
+
+    The noise increments are not stored: the stream is counter-based, so
+    backend.sample_coefficients(dt, step=m, path=path) redraws the
+    increment of step m bit for bit.
+    """
 
     times: np.ndarray
     coeffs: np.ndarray
     norms: np.ndarray
-    noise_coeffs: np.ndarray      # raw increments, one per completed step
     weights: np.ndarray           # K_n value used at each completed step
     stop_time: float = None       # first time ||u||_q reached the cutoff
     exploded: bool = False
@@ -349,7 +358,6 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
     times = [0.0]
     states = [u.copy()]
     norms = [basis.lq_norm(basis.inverse_transform(u), config.q)]
-    increments = []
     weights = []
     stop_time = None
     exploded = False
@@ -358,7 +366,6 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
         inc = (backend.sample_coefficients(config.dt, step=j, path=path)
                if use_noise else None)
         u, weight, _ = advance(u, j * config.dt, inc)
-        increments.append(inc if use_noise else np.zeros(basis.shape))
         weights.append(weight)
         t_new = (j + 1) * config.dt
 
@@ -379,9 +386,8 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
             stop_time = t_new
 
     return Trajectory(times=np.asarray(times), coeffs=np.asarray(states),
-                      norms=np.asarray(norms), noise_coeffs=np.asarray(increments),
-                      weights=np.asarray(weights), stop_time=stop_time,
-                      exploded=exploded, path=path)
+                      norms=np.asarray(norms), weights=np.asarray(weights),
+                      stop_time=stop_time, exploded=exploded, path=path)
 
 
 @dataclass
@@ -465,10 +471,8 @@ def picard_solve(model: ModelSpec, config: SolverConfig, basis: Basis,
     times = np.arange(n_steps + 1) * config.dt
     norms = np.array([basis.lq_norm(basis.inverse_transform(current[j]), config.q)
                       for j in range(n_steps + 1)])
-    noise_rec = np.asarray([inc if inc is not None else np.zeros(basis.shape)
-                            for inc in incs])
     traj = Trajectory(times=times, coeffs=np.asarray(current), norms=norms,
-                      noise_coeffs=noise_rec, weights=weights_last.copy(),
+                      weights=weights_last.copy(),
                       stop_time=None, exploded=False, path=path)
     return PicardResult(trajectory=traj, deltas=np.asarray(deltas),
                         converged=converged, iterations=iterations)
@@ -630,7 +634,17 @@ def energy_diagnostics(traj: Trajectory, basis: Basis, model: ModelSpec = None):
         r3, r2, r1, r0 = (float(c) for c in model.reaction)
 
         def W(u):
-            return ((r3 / 4 * u + r2 / 3) * u + r1 / 2) * u * u + r0 * u
+            # ((r3/4 u + r2/3) u + r1/2) u u + r0 u in one extra buffer;
+            # u is scratch and ends up holding r0 u.
+            w = (r3 / 4) * u
+            w += r2 / 3
+            w *= u
+            w += r1 / 2
+            w *= u
+            w *= u
+            u *= r0
+            w += u
+            return w
 
         grad_sq = np.sum(flat**2 * lam, axis=1)
         potential = np.empty(coeffs.shape[0])

@@ -134,6 +134,22 @@ class TestValidate:
         names = [v["hypothesis"] for v in report["violations"]]
         assert "reaction-zero-at-origin" in names
 
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_reaction_of_wrong_length_flagged(self, tmp_path, capsys, bc):
+        data = base_config(
+            tmp_path,
+            basis={"bc": bc, "dim": 1, "modes_per_axis": 16},
+            model={"reaction": [1.0, 0.0, -1.0], "sigma": 0.1})
+        report = validate(RunConfig.from_dict(data))
+        names = [v["hypothesis"] for v in report["violations"]]
+        assert names == ["reaction-coefficients"]
+        path = write_config(tmp_path, data)
+        assert main(["simulate", "--config", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+        names = [v["hypothesis"] for v in out["error"]["violations"]]
+        assert names == ["reaction-coefficients"]
+
     def test_odd_drift_orders_flagged(self, tmp_path):
         data = base_config(tmp_path, model={
             "drifts": [{"orders": [1], "poly": [0.0, 1.0]}]})

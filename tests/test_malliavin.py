@@ -1,6 +1,7 @@
 """Tangent propagation, Malliavin matrices and the density criterion."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from spde_ch.basis import NEUMANN, Basis, axis_eigenfunctions
 from spde_ch.covariance import CovarianceSpec, gram_operator
+from spde_ch import malliavin
 from spde_ch.malliavin import (ABSOLUTELY_CONTINUOUS, DEGENERATE,
                                INCONCLUSIVE, MalliavinMatrix,
                                decomposition_terms, density_criterion,
@@ -215,6 +217,71 @@ class TestTangentPropagate:
             tangent_propagate(traj, model, config, basis, backend, thin=0)
         with pytest.raises(ValueError, match="backend"):
             tangent_propagate(traj, model, config, basis, None)
+
+
+    def test_memory_guard_raises_before_allocating(self, additive_run,
+                                                   monkeypatch):
+        basis, backend, model, config, traj, tang = additive_run
+        need = tang.derivatives.nbytes + tang.leads.nbytes
+        monkeypatch.setattr(malliavin, "MAX_TANGENT_BYTES", need - 1)
+        with pytest.raises(ValueError, match=rf"{need} bytes.*thin"):
+            tangent_propagate(traj, model, config, basis, backend)
+        thinned = tangent_propagate(traj, model, config, basis, backend,
+                                    thin=2)
+        assert thinned.derivatives.nbytes < need / 2
+
+    def test_working_set_stays_near_the_returned_arrays(self):
+        # 20 steps x 144 white-noise directions: the stacked block would
+        # need several refined-grid temporaries of 13 MB each per step
+        basis = Basis(NEUMANN, dim=2, modes_per_axis=12)
+        backend = make_backend(CovarianceSpec.white(2), basis, seed=1)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=0.2)
+        config = SolverConfig(dt=1e-4, t_final=0.002)
+        traj = simulate(model, config, basis, backend=backend)
+        tracemalloc.start()
+        try:
+            tang = tangent_propagate(traj, model, config, basis, backend)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tang.derivatives.shape == (20, 144, 12, 12)
+        assert peak < (tang.derivatives.nbytes + tang.leads.nbytes
+                       + 8 * 2**20)
+
+    def test_multiplicative_tangent_matches_finite_difference(self):
+        # The sigma' term redraws each step's increment from the backend;
+        # on path 3 a redraw keyed by the wrong (step, path) is off by
+        # several percent.
+        class Nudged:
+            """Adds shift to the increment of one (step, path)."""
+
+            def __init__(self, base, step, path, shift):
+                self.base, self.key, self.shift = base, (step, path), shift
+
+            def sample_coefficients(self, dt, step, path=0):
+                inc = self.base.sample_coefficients(dt, step=step, path=path)
+                return inc + self.shift if (step, path) == self.key else inc
+
+        basis = neumann_basis(16)
+        backend = make_backend(CovarianceSpec.white(1), basis, seed=9)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=lambda t, x, u: 0.5 + 0.3 * np.sin(u))
+        jac = {"sigma": lambda t, x, u: 0.3 * np.cos(u)}
+        config = SolverConfig(dt=2e-3, t_final=0.08)
+        u0 = basis.transform(0.8 * np.cos(basis.grid()[..., 0]))
+        path, r, j, eps = 3, 5, 3, 1e-6
+        traj = simulate(model, config, basis, backend=backend, u0=u0,
+                        path=path)
+        tang = tangent_propagate(traj, model, config, basis, backend,
+                                 jacobians=jac)
+        col = backend.direction_coefficients(j)
+        ends = [simulate(model, config, basis, u0=u0, path=path,
+                         backend=Nudged(backend, r, path, s * eps * col)).final
+                for s in (1.0, -1.0)]
+        fd = (ends[0] - ends[1]) / (2 * eps)
+        err = np.abs(tang.derivatives[r, j] - fd).max()
+        assert err <= 1e-6 * np.abs(fd).max()
 
 
 class TestMalliavinMatrix:

@@ -32,7 +32,6 @@ def make_trajectory(basis, times, coeffs, exploded=False):
     return Trajectory(times=np.asarray(times, dtype=float),
                       coeffs=np.asarray(coeffs, dtype=float),
                       norms=np.zeros(len(times)),
-                      noise_coeffs=np.zeros((n,) + basis.shape),
                       weights=np.ones(n), exploded=exploded)
 
 
