@@ -19,6 +19,10 @@ For Riesz powers in d >= 2 the Gram matrix uses the exact Gaussian-mixture
 identity |u|^{-B} = Gamma(B/2)^{-1} int_0^inf s^{B/2-1} e^{-s|u|^2} ds, which
 turns Q into a positive combination of Kronecker products of per-axis PSD
 matrices; no dense d-dimensional singular quadrature is ever attempted.
+
+scipy.integrate is imported inside the routes that integrate (tabulated
+kernels, the direct d=1 Gram, the variance-kernel integral), so a run that
+only meets Riesz or constant kernels in d >= 2 never loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as sint
 from scipy import special as ssp
 
 from .basis import NEUMANN, Basis
@@ -245,7 +248,8 @@ def _radial_integral_any_log(f: CovarianceSpec, e: float, kappa: int,
         return (f.evaluate_radial(rho) * rho ** (d - 1.0 - e)
                 * math.log(1.0 / rho) ** kappa)
 
-    outer, _ = sint.quad(integrand, rmin, r0, limit=200)
+    from scipy.integrate import quad
+    outer, _ = quad(integrand, rmin, r0, limit=200)
     return inner + S * outer
 
 
@@ -416,6 +420,7 @@ def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
         raise ValueError("need shift >= 0 and moment_ratio in (0, 1]")
     if not f.has_density:
         raise ValueError("white noise has no variance kernel density")
+    from scipy.integrate import quad
     d, S = f.dim, sphere_area(f.dim)
     beta, gamma = exponents.beta, exponents.gamma
     P = exponents.alpha * (moment_ratio - 2.0) - shift
@@ -437,7 +442,7 @@ def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
                 return pref
             return pref * ssp.gammainc(nu, c * R**beta / t**gamma)
 
-        val, _ = sint.quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
+        val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
         return val
 
     # tabulated: fitted exponent drives the singular factor, quadrature the rest
@@ -465,10 +470,10 @@ def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
             return (f.evaluate_radial(rho) * rho ** (d - 1.0)
                     * math.exp(-c * rho**beta / t**gamma))
 
-        outer, _ = sint.quad(gout, rmin, R, limit=100)
+        outer, _ = quad(gout, rmin, R, limit=100)
         return val + S * outer * t ** (P - E)
 
-    val, _ = sint.quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
+    val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
     return val
 
 
@@ -598,8 +603,19 @@ class DenseGram(GramOperator):
             w = np.clip(w, 0.0, None)
             Q = (V * w) @ V.T
             Q = 0.5 * (Q + Q.T)
+            V = None    # V belongs to the unrepaired matrix
         self.matrix = Q
-        self._eigs = w
+        self._eigh = None if V is None else (w, V)
+
+    def eigenpairs(self):
+        """(w, V) with matrix = V diag(w) V^T, as np.linalg.eigh returns them.
+
+        Hands over the decomposition made by the PSD check when no eigenvalue
+        was clipped, and drops it, so it is paid for once and held only until
+        the caller has used it; otherwise decomposes the repaired matrix.
+        """
+        eig, self._eigh = self._eigh, None
+        return np.linalg.eigh(self.matrix) if eig is None else eig
 
     def bilinear(self, a, b):
         af = np.asarray(a, dtype=float).reshape(-1)
@@ -667,14 +683,28 @@ class KroneckerMixtureGram(GramOperator):
     def dense(self, max_entries: int = 2**24):
         n = self.basis.n_modes
         _guard_dense(n, max_entries)
-        d = self.basis.dim
-        Q = np.zeros((n, n))
-        for j in range(len(self.weights)):
-            term = self.axis_mats[j]
+        d, M = self.basis.dim, self.basis.modes_per_axis
+        m = M ** (d - 1)
+        # Q[(p, i), (q, k)] = R[p, q, i, k] = sum_t w_t head_t[p, q] A_t[i, k]
+        # with head_t = A_t^{(x)(d-1)} ([[1]] for d = 1): each term is one
+        # outer product of contiguous arrays into a reused buffer.  The
+        # products, the w_t scaling and the order of the sum over t are
+        # those of a term-by-term np.kron build, so Q is bitwise the same.
+        R = np.zeros((m, m, M, M))
+        buf = np.empty_like(R)
+        for w, A in zip(self.weights, self.axis_mats):
+            head = np.ones((1, 1))
             for _ in range(d - 1):
-                term = np.kron(term, self.axis_mats[j])
-            Q += self.weights[j] * term
-        return 0.5 * (Q + Q.T)
+                head = np.kron(head, A)
+            np.multiply.outer(head, A, out=buf)
+            buf *= w
+            R += buf
+        # 0.5 * (Q + Q^T), reading R in both layouts
+        Q = np.empty((n, n))
+        np.add(R.transpose(0, 2, 1, 3), R.transpose(1, 3, 0, 2),
+               out=Q.reshape(m, M, m, M))
+        Q *= 0.5
+        return Q
 
     def frobenius_norm(self):
         G = np.einsum("jkl,mkl->jm", self.axis_mats, self.axis_mats)
@@ -826,6 +856,7 @@ def _pair_overlap(basis: Basis, k: int, l: int) -> "callable":
 
 def _direct_gram_1d(f: CovarianceSpec, basis: Basis) -> np.ndarray:
     """Dense Q in d=1 by weighted quadrature with the exact endpoint power."""
+    from scipy.integrate import quad
     M = basis.modes_per_axis
     modes = basis.axis_modes
     Q = np.zeros((M, M))
@@ -833,8 +864,8 @@ def _direct_gram_1d(f: CovarianceSpec, basis: Basis) -> np.ndarray:
         for i in range(M):
             for j in range(i, M):
                 g = _pair_overlap(basis, int(modes[i]), int(modes[j]))
-                val, _ = sint.quad(g, 0.0, math.pi, weight="alg",
-                                   wvar=(-f.B, 0.0), limit=200)
+                val, _ = quad(g, 0.0, math.pi, weight="alg",
+                              wvar=(-f.B, 0.0), limit=200)
                 Q[i, j] = Q[j, i] = val
         return Q
 
@@ -845,13 +876,13 @@ def _direct_gram_1d(f: CovarianceSpec, basis: Basis) -> np.ndarray:
     for i in range(M):
         for j in range(i, M):
             g = _pair_overlap(basis, int(modes[i]), int(modes[j]))
-            inner, _ = sint.quad(g, 0.0, rmin, weight="alg",
-                                 wvar=(-bhat, 0.0), limit=200)
+            inner, _ = quad(g, 0.0, rmin, weight="alg",
+                            wvar=(-bhat, 0.0), limit=200)
             inner *= amp
             outer = 0.0
             if rmin < math.pi:
                 go = lambda u, g=g: float(f.evaluate_radial(u)) * g(u)
-                outer, _ = sint.quad(go, rmin, math.pi, limit=200)
+                outer, _ = quad(go, rmin, math.pi, limit=200)
             Q[i, j] = Q[j, i] = inner + outer
     return Q
 

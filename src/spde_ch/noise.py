@@ -12,6 +12,9 @@ of the correlation kernel (see covariance.gram_operator).  Backends:
                          masses with the exact cell-cell covariance, then
                          project piecewise-constant densities onto the basis.
 
+The grid-cell backend integrates the kernel over cells with scipy.integrate,
+imported where it runs; the other backends never load it.
+
 Randomness is counter-based (Philox): the stream for a given (seed, step,
 path) triple is identical no matter how many other draws happened before,
 which makes restarts and any subset or order of paths reproducible by
@@ -25,8 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as sint
-from scipy import linalg as sla
 
 from .basis import NEUMANN, Basis
 from .covariance import (CovarianceSpec, DenseGram, GramOperator,
@@ -109,11 +110,10 @@ class SpectralCholeskyBackend(NoiseBackend):
             col = math.sqrt(gram.scale) * gram.vec.reshape(-1)
             self.factor = col[:, None]
         else:
-            Q = gram.dense()
             if not isinstance(gram, DenseGram):
-                gram = DenseGram(basis, Q)
+                gram = DenseGram(basis, gram.dense())
                 self.gram = gram
-            w, V = np.linalg.eigh(gram.matrix)
+            w, V = gram.eigenpairs()
             w = np.clip(w, 0.0, None)
             self.factor = V * np.sqrt(w)
 
@@ -200,6 +200,7 @@ def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
     h = math.pi / n_cells
     if f.kind == CovarianceSpec.CONSTANT:
         return np.full((n_cells, n_cells), f.c * h * h)
+    from scipy.integrate import quad
     bhat = f.fitted_origin_power()
     col = np.empty(n_cells)
     # offset 0: 2 int_0^h f(u) (h-u) du, singular endpoint handled by weight
@@ -208,32 +209,34 @@ def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
     if n_cells > 1:
         # offset 1: int_0^h f(u) u du + int_h^{2h} f(u) (2h-u) du
         val = _alg_quad(f, lambda u: u, 0.0, h, bhat)
-        val += sint.quad(lambda u: float(f.evaluate_radial(u)) * (2 * h - u),
-                         h, 2 * h, limit=100)[0]
+        val += quad(lambda u: float(f.evaluate_radial(u)) * (2 * h - u),
+                    h, 2 * h, limit=100)[0]
         col[1] = val
     for m in range(2, n_cells):
         tent = lambda u, m=m: float(f.evaluate_radial(u)) * (h - abs(u - m * h))
-        val, _ = sint.quad(tent, (m - 1) * h, (m + 1) * h,
-                           points=[m * h], limit=100)
+        val, _ = quad(tent, (m - 1) * h, (m + 1) * h,
+                      points=[m * h], limit=100)
         col[m] = val
-    return sla.toeplitz(col)
+    idx = np.arange(n_cells)
+    return col[np.abs(idx[:, None] - idx[None, :])]
 
 
 def _alg_quad(f: CovarianceSpec, smooth, a: float, b: float, bhat: float):
     """int_a^b f(u) * smooth(u) du with an algebraic singularity at a=0."""
+    from scipy.integrate import quad
     if f.kind == CovarianceSpec.RIESZ:
-        val, _ = sint.quad(smooth, a, b, weight="alg", wvar=(-f.B, 0.0),
-                           limit=200)
+        val, _ = quad(smooth, a, b, weight="alg", wvar=(-f.B, 0.0),
+                      limit=200)
         return val
     # tabulated: fitted power below the first sample, plain quadrature above
     rmin = min(float(f.radii[0]), b)
     amp = f.values[0] * float(f.radii[0]) ** bhat
-    val, _ = sint.quad(smooth, a, rmin, weight="alg", wvar=(-bhat, 0.0),
-                       limit=200)
+    val, _ = quad(smooth, a, rmin, weight="alg", wvar=(-bhat, 0.0),
+                  limit=200)
     val *= amp
     if rmin < b:
-        val += sint.quad(lambda u: float(f.evaluate_radial(u)) * smooth(u),
-                         rmin, b, limit=200)[0]
+        val += quad(lambda u: float(f.evaluate_radial(u)) * smooth(u),
+                    rmin, b, limit=200)[0]
     return val
 
 

@@ -229,7 +229,8 @@ def _scheme_update(basis: Basis, dt: float, scheme: str = EXPONENTIAL_EULER):
     """
     decay, phi1, noise_w = _propagators(basis, dt)
     if scheme == EXPONENTIAL_EULER:
-        return (lambda u, drift: decay * u + dt * phi1 * drift), noise_w
+        dt_phi1 = dt * phi1     # dt * phi1 * drift evaluates as (dt * phi1) * drift
+        return (lambda u, drift: decay * u + dt_phi1 * drift), noise_w
     denominator = 1.0 + basis.biharmonic_eigenvalues * dt
     return (lambda u, drift: (u + dt * drift) / denominator), noise_w
 

@@ -558,6 +558,36 @@ class TestGramMatrix:
         assert op.diagonal().min() > 0
         assert 0.0 < op.offdiagonal_mass() < 1.0
 
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    @pytest.mark.parametrize("dim,M,B", [(1, 8, 0.5), (2, 5, 1.0),
+                                         (3, 4, 1.0), (4, 3, 2.0)])
+    def test_mixture_dense_matches_kron_loop_bitwise(self, bc, dim, M, B):
+        op = gram_operator(CovarianceSpec.riesz(dim, B), Basis(bc, dim, M),
+                           method="mixture")
+        # reference: every term built by np.kron, scaled, summed in order
+        ref = np.zeros((op.basis.n_modes,) * 2)
+        for w, A in zip(op.weights, op.axis_mats):
+            term = A
+            for _ in range(dim - 1):
+                term = np.kron(term, A)
+            ref += w * term
+        ref = 0.5 * (ref + ref.T)
+        Q = op.dense()
+        assert np.array_equal(Q, ref)
+        assert np.array_equal(np.signbit(Q), np.signbit(ref))
+
+    def test_mixture_dense_guard_allocates_nothing(self):
+        import tracemalloc
+        op = gram_operator(CovarianceSpec.riesz(3, 1.0), Basis(NEUMANN, 3, 10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense"):
+                op.dense(max_entries=999_999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8 // 100
+
     def test_psd_clip_reported(self):
         basis = Basis(NEUMANN, 1, 3)
         M = np.eye(3)

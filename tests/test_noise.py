@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spde_ch.basis import DIRICHLET, NEUMANN, Basis
-from spde_ch.covariance import CovarianceSpec, gram_matrix
+from spde_ch.covariance import CovarianceSpec, DenseGram, gram_matrix
 from spde_ch.noise import (GRID_CELL, SPECTRAL_CHOLESKY, SPECTRAL_DIAGONAL,
                            WHITE, GridCellBackend, NoiseStream,
                            SpectralCholeskyBackend, SpectralDiagonalBackend,
@@ -87,6 +87,46 @@ class TestSamplingLaws:
         Q = gram_matrix(f, basis)
         assert bk.factor @ bk.factor.T == pytest.approx(Q, abs=1e-12)
 
+    @staticmethod
+    def _held_square_arrays(gram, n):
+        """Names of gram attributes holding an n x n array, tuples included."""
+        held = []
+        for name, value in vars(gram).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, np.ndarray) and v.shape == (n, n):
+                    held.append(name)
+        return held
+
+    @pytest.mark.parametrize("dim,M", [(2, 6), (3, 4)])
+    def test_mixture_factor_from_one_eigh(self, monkeypatch, dim, M):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        basis = Basis(NEUMANN, dim, M)
+        bk = make_backend(CovarianceSpec.riesz(dim, 1.0), basis, seed=0)
+        assert isinstance(bk, SpectralCholeskyBackend)
+        assert len(calls) == 1
+        w, V = eigh(bk.gram.matrix)
+        assert np.array_equal(bk.factor, V * np.sqrt(np.clip(w, 0.0, None)))
+        assert self._held_square_arrays(bk.gram, basis.n_modes) == ["matrix"]
+
+    def test_clipped_gram_factor_from_repaired_matrix(self, monkeypatch):
+        basis = Basis(NEUMANN, 1, 4)
+        rng = np.random.default_rng(5)
+        V0, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        with pytest.warns(UserWarning, match="clip"):
+            gram = DenseGram(basis, (V0 * [2.0, 1.0, 0.5, -1e-6]) @ V0.T)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        bk = SpectralCholeskyBackend(basis, gram, seed=0)
+        assert len(calls) == 1
+        w, V = eigh(gram.matrix)
+        assert np.array_equal(bk.factor, V * np.sqrt(np.clip(w, 0.0, None)))
+        assert self._held_square_arrays(gram, 4) == ["matrix"]
+
     def test_direction_coefficients_match_factor(self):
         basis = Basis(NEUMANN, 1, 6)
         bk = make_backend(CovarianceSpec.riesz(1, 0.5), basis, seed=0)
@@ -154,6 +194,8 @@ class TestGridCellBackend:
         for off in range(12):
             diag = np.diagonal(C, offset=off)
             assert np.allclose(diag, diag[0], rtol=1e-12)
+        from scipy.linalg import toeplitz
+        assert np.array_equal(C, toeplitz(C[0]))
 
     def test_constant_kernel_cells(self):
         f = CovarianceSpec.constant(1, 2.0)

@@ -18,6 +18,8 @@ from spde_ch.solver import (
     SEMI_IMPLICIT,
     SolverConfig,
     Trajectory,
+    _propagators,
+    _scheme_update,
     convolution_bound_check,
     deterministic_convolution,
     energy_diagnostics,
@@ -121,6 +123,17 @@ class TestStepBasics:
         new, _, _ = step(u0, 0.0, ModelSpec(bc=NEUMANN), cfg, basis)
         np.testing.assert_allclose(
             new, u0 / (1 + basis.biharmonic_eigenvalues * 0.05), rtol=1e-15)
+
+    def test_exponential_euler_update_bitwise_on_stacked_states(self):
+        basis = Basis(DIRICHLET, 2, 8)
+        dt = 3e-3
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal((3,) + basis.shape)
+        drift = rng.standard_normal((3,) + basis.shape) * 1e3
+        update, noise_w = _scheme_update(basis, dt)
+        decay, phi1, want_w = _propagators(basis, dt)
+        assert np.array_equal(update(u, drift), decay * u + dt * phi1 * drift)
+        assert np.array_equal(noise_w, want_w)
 
     @pytest.mark.parametrize("scheme", ["exponential-euler", SEMI_IMPLICIT])
     def test_repeated_steps_reproduce_simulate_bit_for_bit(self, scheme):
