@@ -316,16 +316,27 @@ def _sha256(path) -> str:
 # commands
 
 
-def _run_paths(model, solver, basis, backend, f, n_paths, force, u0):
+def _build_problem(config, basis):
+    """(model, solver, kernel, noise backend) of a command that runs paths."""
+    model = config.build_model()
+    solver = config.build_solver()
+    f, backend = config.build_backend(basis)
+    if model.has_noise and backend is None:
+        raise ConfigError("model has noise but no covariance block was given")
+    return model, solver, f, backend
+
+
+def _run_paths(model, solver, basis, backend, n_paths, u0):
     # Paths run serially with one FFT worker: per-step transforms act on a
     # single small field, where worker dispatch costs more than it saves.
+    # run() has already applied the admissibility gate through validate(),
+    # so simulate() is not handed the kernel to check it again per path.
     with sfft.set_workers(1):
-        return [simulate(model, solver, basis, backend=backend, u0=u0,
-                         path=path, covariance=f, force=force)
+        return [simulate(model, solver, basis, backend=backend, u0=u0, path=path)
                 for path in range(n_paths)]
 
 
-def _cmd_check_covariance(config, basis, outdir, h, force):
+def _cmd_check_covariance(config, basis, outdir, h):
     if config.covariance is None:
         raise ConfigError("check-covariance needs a covariance block")
     dim = basis.dim
@@ -354,7 +365,7 @@ def _cmd_check_covariance(config, basis, outdir, h, force):
     return ["covariance.csv"]
 
 
-def _cmd_green(config, basis, outdir, h, force):
+def _cmd_green(config, basis, outdir, h):
     d = basis.dim
     taus = config.options.get("taus") or [1e-3, 1e-2, 1e-1]
     center = [math.pi / 2] * d
@@ -374,15 +385,11 @@ def _cmd_green(config, basis, outdir, h, force):
     return ["green.csv"]
 
 
-def _cmd_simulate(config, basis, outdir, h, force):
-    model = config.build_model()
-    solver = config.build_solver()
-    f, backend = config.build_backend(basis)
-    if model.has_noise and backend is None:
-        raise ConfigError("model has noise but no covariance block was given")
+def _cmd_simulate(config, basis, outdir, h):
+    model, solver, _, backend = _build_problem(config, basis)
     n_paths = int(config.options.get("paths", 1))
     u0 = config.initial_state(basis)
-    trajs = _run_paths(model, solver, basis, backend, f, n_paths, force, u0)
+    trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
 
     summary, series, finals = [], [], []
     for traj in trajs:
@@ -411,12 +418,8 @@ def _cmd_simulate(config, basis, outdir, h, force):
     return files
 
 
-def _cmd_picard(config, basis, outdir, h, force):
-    model = config.build_model()
-    solver = config.build_solver()
-    f, backend = config.build_backend(basis)
-    if model.has_noise and backend is None:
-        raise ConfigError("model has noise but no covariance block was given")
+def _cmd_picard(config, basis, outdir, h):
+    model, solver, _, backend = _build_problem(config, basis)
     result = picard_solve(model, solver, basis, backend=backend,
                           u0=config.initial_state(basis),
                           path=int(config.options.get("path", 0)),
@@ -431,14 +434,10 @@ def _cmd_picard(config, basis, outdir, h, force):
     return ["picard.csv", "picard.jsonl"]
 
 
-def _cmd_regularity(config, basis, outdir, h, force):
-    model = config.build_model()
-    solver = config.build_solver()
-    f, backend = config.build_backend(basis)
-    if model.has_noise and backend is None:
-        raise ConfigError("model has noise but no covariance block was given")
+def _cmd_regularity(config, basis, outdir, h):
+    model, solver, _, backend = _build_problem(config, basis)
     n_paths = int(config.options.get("paths", 50))
-    trajs = _run_paths(model, solver, basis, backend, f, n_paths, force,
+    trajs = _run_paths(model, solver, basis, backend, n_paths,
                        config.initial_state(basis))
     ensemble = Ensemble(basis, trajs)
 
@@ -471,10 +470,8 @@ def _cmd_regularity(config, basis, outdir, h, force):
     return ["structure.csv", "fits.jsonl", "moments.csv"]
 
 
-def _cmd_malliavin(config, basis, outdir, h, force):
-    model = config.build_model()
-    solver = config.build_solver()
-    f, backend = config.build_backend(basis)
+def _cmd_malliavin(config, basis, outdir, h):
+    model, solver, f, backend = _build_problem(config, basis)
     if backend is None:
         raise ConfigError("malliavin needs a covariance block")
     n_paths = int(config.options.get("paths", 1))
@@ -488,7 +485,7 @@ def _cmd_malliavin(config, basis, outdir, h, force):
                                           solver.t_final / 4,
                                           solver.t_final / 2]
     u0 = config.initial_state(basis)
-    trajs = _run_paths(model, solver, basis, backend, f, n_paths, force, u0)
+    trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
 
     eig_rows, dec_rows, gammas = [], [], []
     for traj in trajs:
@@ -557,7 +554,7 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     os.makedirs(outdir, exist_ok=True)
     h = config.config_hash()
     with sfft.set_workers(max(1, int(threads))):
-        files = _HANDLERS[config.command](config, basis, outdir, h, force)
+        files = _HANDLERS[config.command](config, basis, outdir, h)
 
     manifest = {
         "command": config.command,

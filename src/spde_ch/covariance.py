@@ -12,17 +12,22 @@ with an origin singularity,
     int_{B_d(0,r0)} f(v) |v|^{-e} ln(1/|v|)^kappa dv,
 
 possibly Gaussian-smoothed at scale t^{gamma/beta}.  This module decides those
-conditions (analytically for Riesz powers, by singular quadrature otherwise)
-and assembles the noise Gram matrix Q_{kl} = <e_k, e_l>_H used for sampling.
+conditions and assembles the noise Gram matrix Q_{kl} = <e_k, e_l>_H used for
+sampling.  Each density kernel is read as a power law f(r) = amp r^{-B} below
+r_cut (``CovarianceSpec._origin_law``): r_cut = inf for Riesz and constant
+kernels, the first sample for a table, fitted to its two innermost samples.
+Every radial quantity is one computation: the power-law head in closed form
+(or by algebraic-weight quadrature, ``_singular_quad``), plus quadrature of
+the table above r_cut when that lies in the range.
 
 For Riesz powers in d >= 2 the Gram matrix uses the exact Gaussian-mixture
 identity |u|^{-B} = Gamma(B/2)^{-1} int_0^inf s^{B/2-1} e^{-s|u|^2} ds, which
 turns Q into a positive combination of Kronecker products of per-axis PSD
 matrices; no dense d-dimensional singular quadrature is ever attempted.
 
-scipy.integrate is imported inside the routes that integrate (tabulated
-kernels, the direct d=1 Gram, the variance-kernel integral), so a run that
-only meets Riesz or constant kernels in d >= 2 never loads it.
+scipy.integrate is imported inside the routes that integrate (table parts,
+the direct d=1 Gram, the variance-kernel integral), so a run that only meets
+Riesz or constant kernels in d >= 2 never loads it.
 """
 
 from __future__ import annotations
@@ -135,13 +140,7 @@ class CovarianceSpec:
     @property
     def locally_integrable(self) -> bool:
         """Whether int_{B(0,1)} f < infinity."""
-        if self.kind == self.WHITE:
-            return False
-        if self.kind == self.RIESZ:
-            return self.B < self.dim
-        if self.kind == self.TABULATED:
-            return self.fitted_origin_power() < self.dim
-        return True
+        return self.kind != self.WHITE and self.fitted_origin_power() < self.dim
 
     @property
     def diameter(self) -> float:
@@ -160,6 +159,16 @@ class CovarianceSpec:
         f0, f1 = self.values[0], self.values[1]
         return -math.log(f1 / f0) / math.log(r1 / r0)
 
+    def _origin_law(self):
+        """(amp, B, r_cut) with f(r) = amp * r^{-B} for r < r_cut."""
+        if self.kind == self.RIESZ:
+            return 1.0, self.B, math.inf
+        if self.kind == self.CONSTANT:
+            return self.c, 0.0, math.inf
+        bhat = self.fitted_origin_power()
+        r0 = float(self.radii[0])
+        return self.values[0] * r0**bhat, bhat, r0
+
     def evaluate_radial(self, r):
         """f evaluated at radius r (power-law extrapolation below the table)."""
         r = np.asarray(r, dtype=float)
@@ -167,10 +176,9 @@ class CovarianceSpec:
             raise ValueError("radius must be positive")
         if self.kind == self.WHITE:
             raise ValueError("white noise has no pointwise density")
-        if self.kind == self.CONSTANT:
-            return np.full_like(r, self.c)
-        if self.kind == self.RIESZ:
-            return r ** (-self.B)
+        if self.kind != self.TABULATED:
+            amp, B, _ = self._origin_law()
+            return amp * r ** (-B)
         bhat = self.fitted_origin_power()
         out = np.empty_like(r)
         below = r < self.radii[0]
@@ -225,46 +233,49 @@ def _radial_integral_any_log(f: CovarianceSpec, e: float, kappa: int,
     S = sphere_area(d)
     if f.kind == CovarianceSpec.WHITE:
         raise ValueError("white noise has no density; radial conditions do not apply")
-    if f.kind in (CovarianceSpec.RIESZ, CovarianceSpec.CONSTANT):
-        B = f.B if f.kind == CovarianceSpec.RIESZ else 0.0
-        scale = 1.0 if f.kind == CovarianceSpec.RIESZ else f.c
-        val = _power_log_primitive(d - 1.0 - B - e, kappa, r0)
-        return math.inf if math.isinf(val) else S * scale * val
-
-    # tabulated: fitted power law below the table, quadrature above
-    if f.radii[-1] < r0:
+    amp, B, r_cut = f._origin_law()
+    if r_cut < r0 and f.radii[-1] < r0:
         raise ValueError(
             f"tabulated samples reach only {f.radii[-1]:.3g} < r0={r0:.3g}")
-    rmin = float(f.radii[0])
-    bhat = f.fitted_origin_power()
-    inner = _power_log_primitive(d - 1.0 - bhat - e, kappa, min(rmin, r0))
-    if math.isinf(inner):
+    # power-law head in closed form, quadrature of the table above r_cut
+    head = _power_log_primitive(d - 1.0 - B - e, kappa, min(r_cut, r0))
+    if math.isinf(head):
         return math.inf
-    inner *= S * f.values[0] * rmin**bhat
-    if rmin >= r0:
-        return inner
+    head *= S * amp
+    if r_cut >= r0:
+        return head
 
     def integrand(rho):
         return (f.evaluate_radial(rho) * rho ** (d - 1.0 - e)
                 * math.log(1.0 / rho) ** kappa)
 
     from scipy.integrate import quad
-    outer, _ = quad(integrand, rmin, r0, limit=200)
-    return inner + S * outer
+    outer, _ = quad(integrand, r_cut, r0, limit=200)
+    return head + S * outer
 
 
 # ----------------------------------------------------------------------
 # condition checkers
 
 
-def _density_condition(f, cid, e, kappa, analytic_threshold_margin):
-    """Common path: evaluate the radial integral and attach a verdict."""
-    if f.kind in (CovarianceSpec.RIESZ, CovarianceSpec.CONSTANT):
-        margin = analytic_threshold_margin
-        value = _radial_integral_any_log(f, e, kappa, 1.0)
-        return ConditionReport(cid, _verdict(margin), value, margin)
+def _excess(theta: float, target: float):
+    """(e, kappa): the log condition at theta = target, else e = (theta - target)^+."""
+    if abs(theta - target) <= EXPONENT_TOL:
+        return 0.0, 1
+    return max(theta - target, 0.0), 0
+
+
+def _density_condition(f, cid, e, kappa, margin=None):
+    """Evaluate the radial integral and attach a verdict on d - e - B.
+
+    An exact kernel may pass its own closed form of that margin.
+    """
     value = _radial_integral_any_log(f, e, kappa, 1.0)
-    margin = f.dim - e - f.fitted_origin_power()
+    fitted = f.kind == CovarianceSpec.TABULATED
+    if margin is None or fitted:
+        margin = f.dim - e - f.fitted_origin_power()
+    if not fitted:
+        return ConditionReport(cid, _verdict(margin), value, margin)
     # fitted exponents get a looser borderline band than exact ones
     if abs(margin) <= 1e-9:
         verdict = BORDERLINE
@@ -290,12 +301,7 @@ def stochastic_integrability(f: CovarianceSpec,
         margin = 1.0 - (2.0 * exponents.alpha - exponents.gamma * d / exponents.beta)
         return ConditionReport(cid, _verdict(margin), None, margin)
     theta = exponents.beta_over_gamma * (2.0 * exponents.alpha - 1.0)
-    if abs(theta - d) <= EXPONENT_TOL:
-        e, kappa = 0.0, 1
-    else:
-        e, kappa = max(theta - d, 0.0), 0
-    B = f.B if f.kind == CovarianceSpec.RIESZ else 0.0
-    return _density_condition(f, cid, e, kappa, d - e - B)
+    return _density_condition(f, cid, *_excess(theta, d))
 
 
 def holder_integrability(f: CovarianceSpec, exponents: KernelExponents,
@@ -318,12 +324,7 @@ def holder_integrability(f: CovarianceSpec, exponents: KernelExponents,
                         - exponents.gamma * d / exponents.beta)
         return ConditionReport(cid, _verdict(margin), None, margin)
     theta = exponents.beta_over_gamma * (2.0 * exponents.alpha + order * fac - 1.0)
-    if abs(theta - d) <= EXPONENT_TOL:
-        e, kappa = 0.0, 1
-    else:
-        e, kappa = max(theta - d, 0.0), 0
-    B = f.B if f.kind == CovarianceSpec.RIESZ else 0.0
-    return _density_condition(f, cid, e, kappa, d - e - B)
+    return _density_condition(f, cid, *_excess(theta, d))
 
 
 def moment_integrability(f: CovarianceSpec, exponents: KernelExponents,
@@ -349,13 +350,7 @@ def moment_integrability(f: CovarianceSpec, exponents: KernelExponents,
         margin = 2.0 * a / denom - p
         return ConditionReport(cid, _verdict(margin), None, margin)
     theta = exponents.beta_over_gamma * (2.0 * exponents.alpha - 1.0)
-    target = d * q / p
-    if abs(theta - target) <= EXPONENT_TOL:
-        e, kappa = 0.0, 1
-    else:
-        e, kappa = max(theta - target, 0.0), 0
-    B = f.B if f.kind == CovarianceSpec.RIESZ else 0.0
-    return _density_condition(f, cid, e, kappa, d - e - B)
+    return _density_condition(f, cid, *_excess(theta, d * q / p))
 
 
 def cahn_hilliard_integrability(f: CovarianceSpec, eps: float) -> ConditionReport:
@@ -373,8 +368,9 @@ def cahn_hilliard_integrability(f: CovarianceSpec, eps: float) -> ConditionRepor
     d = f.dim
     cid = f"cahn-hilliard(eps={eps:g})"
     e = d * (1.0 + eps) - 4.0
-    B = f.B if f.kind == CovarianceSpec.RIESZ else 0.0
-    return _density_condition(f, cid, e, 0, 4.0 - B - d * eps)
+    # 4 - B - d eps is the same margin as d - e - B, rounded as stated
+    return _density_condition(f, cid, e, 0,
+                              4.0 - f.fitted_origin_power() - d * eps)
 
 
 def small_ball_integral(f: CovarianceSpec, tau: float) -> float:
@@ -425,52 +421,30 @@ def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
     beta, gamma = exponents.beta, exponents.gamma
     P = exponents.alpha * (moment_ratio - 2.0) - shift
 
-    if f.kind in (CovarianceSpec.RIESZ, CovarianceSpec.CONSTANT):
-        B = f.B if f.kind == CovarianceSpec.RIESZ else 0.0
-        scale = 1.0 if f.kind == CovarianceSpec.RIESZ else f.c
-        nu = (d - B) / beta
-        if nu <= 0:
-            return math.inf
-        E = P + gamma * (d - B) / beta
-        if E <= -1.0:
-            return math.inf
-        pref = S * scale * math.gamma(nu) / (beta * c**nu)
-
-        # psi(t) = t^E * h(t) with h bounded near 0; quad handles the weight
-        def h(t):
-            if t <= 0.0:
-                return pref
-            return pref * ssp.gammainc(nu, c * R**beta / t**gamma)
-
-        val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
-        return val
-
-    # tabulated: fitted exponent drives the singular factor, quadrature the rest
-    bhat = f.fitted_origin_power()
-    if bhat >= d:
+    # the origin exponent drives the singular factor t^E
+    amp, B, r_cut = f._origin_law()
+    nu = (d - B) / beta
+    if nu <= 0:
         return math.inf
-    E = P + gamma * (d - bhat) / beta
+    E = P + gamma * (d - B) / beta
     if E <= -1.0:
         return math.inf
+    pref = amp * S * math.gamma(nu) / (beta * c**nu)
 
-    rmin = float(f.radii[0])
-    nu_hat = (d - bhat) / beta
-    pref_hat = (f.values[0] * rmin**bhat * S * math.gamma(nu_hat)
-                / (beta * c**nu_hat))
-
-    # psi(t) t^{-E} = pref_hat * gammainc(...) + smooth remainder, bounded at 0
+    # psi(t) = t^E * h(t) with h bounded near 0; quad handles the weight.
+    # h is the power-law head in closed form plus the table above r_cut.
     def h(t):
         if t <= 0.0:
-            return pref_hat
-        val = pref_hat * ssp.gammainc(nu_hat, c * min(rmin, R) ** beta / t**gamma)
-        if rmin >= R:
+            return pref
+        val = pref * ssp.gammainc(nu, c * min(r_cut, R) ** beta / t**gamma)
+        if r_cut >= R:
             return val
 
         def gout(rho):
             return (f.evaluate_radial(rho) * rho ** (d - 1.0)
                     * math.exp(-c * rho**beta / t**gamma))
 
-        outer, _ = quad(gout, rmin, R, limit=100)
+        outer, _ = quad(gout, r_cut, R, limit=100)
         return val + S * outer * t ** (P - E)
 
     val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
@@ -528,6 +502,10 @@ class GramOperator:
         """<a, b>_H for coefficient tensors a, b."""
         raise NotImplementedError
 
+    def bilinear_many(self, A_stack, B_stack) -> np.ndarray:
+        """<a_i, b_i>_H over coefficient tensors stacked along the first axis."""
+        return np.array([self.bilinear(a, b) for a, b in zip(A_stack, B_stack)])
+
     def diagonal(self) -> np.ndarray:
         """Diagonal of Q as a coefficient-shaped tensor."""
         raise NotImplementedError
@@ -537,6 +515,14 @@ class GramOperator:
 
     def frobenius_norm(self) -> float:
         raise NotImplementedError
+
+    def offdiagonal_mass(self) -> float:
+        """Fraction of the Frobenius norm dropped by a diagonal approximation."""
+        total = self.frobenius_norm()
+        diag = float(np.sqrt(np.sum(self.diagonal() ** 2)))
+        if total == 0:
+            return 0.0
+        return math.sqrt(max(total**2 - diag**2, 0.0)) / total
 
 
 class IdentityGram(GramOperator):
@@ -711,14 +697,6 @@ class KroneckerMixtureGram(GramOperator):
         total = float(self.weights @ (G ** self.basis.dim) @ self.weights)
         return math.sqrt(max(total, 0.0))
 
-    def offdiagonal_mass(self) -> float:
-        """Fraction of the Frobenius norm dropped by a diagonal approximation."""
-        total = self.frobenius_norm()
-        diag = float(np.sqrt(np.sum(self.diagonal() ** 2)))
-        if total == 0:
-            return 0.0
-        return math.sqrt(max(total**2 - diag**2, 0.0)) / total
-
 
 def _guard_dense(n, max_entries):
     if n * n > max_entries:
@@ -854,36 +832,29 @@ def _pair_overlap(basis: Basis, k: int, l: int) -> "callable":
     return g
 
 
+def _singular_quad(f: CovarianceSpec, smooth, a: float, b: float) -> float:
+    """int_0^b f(u) smooth(u) du: the power-law head of f as an algebraic
+    endpoint weight below r_cut, plain quadrature of the table above it."""
+    from scipy.integrate import quad
+    amp, B, r_cut = f._origin_law()
+    head_end = min(r_cut, b)
+    val, _ = quad(smooth, a, head_end, weight="alg", wvar=(-B, 0.0), limit=200)
+    val *= amp
+    if head_end < b:
+        val += quad(lambda u: float(f.evaluate_radial(u)) * smooth(u),
+                    head_end, b, limit=200)[0]
+    return val
+
+
 def _direct_gram_1d(f: CovarianceSpec, basis: Basis) -> np.ndarray:
     """Dense Q in d=1 by weighted quadrature with the exact endpoint power."""
-    from scipy.integrate import quad
     M = basis.modes_per_axis
     modes = basis.axis_modes
     Q = np.zeros((M, M))
-    if f.kind == CovarianceSpec.RIESZ:
-        for i in range(M):
-            for j in range(i, M):
-                g = _pair_overlap(basis, int(modes[i]), int(modes[j]))
-                val, _ = quad(g, 0.0, math.pi, weight="alg",
-                              wvar=(-f.B, 0.0), limit=200)
-                Q[i, j] = Q[j, i] = val
-        return Q
-
-    # tabulated: exact fitted power below the table, plain quadrature above
-    rmin = min(float(f.radii[0]), math.pi)
-    bhat = f.fitted_origin_power()
-    amp = f.values[0] * float(f.radii[0]) ** bhat
     for i in range(M):
         for j in range(i, M):
             g = _pair_overlap(basis, int(modes[i]), int(modes[j]))
-            inner, _ = quad(g, 0.0, rmin, weight="alg",
-                            wvar=(-bhat, 0.0), limit=200)
-            inner *= amp
-            outer = 0.0
-            if rmin < math.pi:
-                go = lambda u, g=g: float(f.evaluate_radial(u)) * g(u)
-                outer, _ = quad(go, rmin, math.pi, limit=200)
-            Q[i, j] = Q[j, i] = inner + outer
+            Q[i, j] = Q[j, i] = _singular_quad(f, g, 0.0, math.pi)
     return Q
 
 
@@ -918,15 +889,12 @@ def gram_operator(f: CovarianceSpec, basis: Basis, method: str = "auto",
         for _ in range(basis.dim - 1):
             vec = np.multiply.outer(vec, axis)
         return Rank1Gram(basis, vec, f.c)
-    if f.kind == CovarianceSpec.RIESZ:
-        if method == "direct" or (method == "auto" and f.dim == 1):
-            if f.dim != 1:
-                raise ValueError("direct quadrature route only supports d=1")
-            return DenseGram(basis, _direct_gram_1d(f, basis))
+    direct = method == "direct" or (method == "auto" and f.dim == 1)
+    if f.kind == CovarianceSpec.RIESZ and not direct:
         return _riesz_mixture_gram(f, basis, tol=mixture_tol, step=mixture_step)
-    # tabulated
+    # Riesz by the direct route, or tabulated (which has no mixture form)
     if f.dim != 1:
-        raise ValueError("tabulated kernels support Gram assembly only in d=1")
+        raise ValueError("direct quadrature route only supports d=1")
     return DenseGram(basis, _direct_gram_1d(f, basis))
 
 

@@ -115,15 +115,20 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
         w = np.exp(-lam2 * taus[i])
         if time_deriv:
             w = w * (-lam2) ** time_deriv
-        term = w
-        for ax in range(dim):
-            ux = axis_eigenfunctions(bc, basis.axis_modes, xs[i, ax], space_derivs[ax])
-            uy = axis_eigenfunctions(bc, basis.axis_modes, ys[i, ax])
-            shape = [1] * dim
-            shape[ax] = cap
-            term = term * (ux * uy).reshape(shape)
-        out[i] = term.sum()
+        out[i] = _mode_sum(basis, w, xs[i], ys[i], space_derivs)
     return float(out[0]) if scalar_input else out
+
+
+def _mode_sum(basis: Basis, w: np.ndarray, x, y, space_derivs):
+    """sum_k w_k prod_ax D^{a_ax} e_k(x_ax) e_k(y_ax) over the modes of basis."""
+    term = w
+    for ax in range(basis.dim):
+        ux = axis_eigenfunctions(basis.bc, basis.axis_modes, x[ax], space_derivs[ax])
+        uy = axis_eigenfunctions(basis.bc, basis.axis_modes, y[ax])
+        shape = [1] * basis.dim
+        shape[ax] = basis.modes_per_axis
+        term = term * (ux * uy).reshape(shape)
+    return term.sum()
 
 
 def apply_semigroup(basis: Basis, coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -142,29 +147,18 @@ def chapman_kolmogorov_check(bc: str, dim: int, t: float, r: float, s: float,
     """
     if not t > r > s:
         raise ValueError("need t > r > s")
+    basis = Basis(bc, dim, modes_per_axis)
+    lam2 = basis.biharmonic_eigenvalues
+    # composed weights: e^{-lam^2 (t-r)} * e^{-lam^2 (r-s)} per mode
+    w = np.exp(-lam2 * (t - r)) * np.exp(-lam2 * (r - s))
     worst = 0.0
     for x, y in probes:
         direct = green_function(bc, dim, t - s, x, y, modes_per_axis=modes_per_axis)
-        # composed weights: e^{-lam^2 (t-r)} * e^{-lam^2 (r-s)} per mode
-        composed = _composed_green(bc, dim, t - r, r - s, x, y, modes_per_axis)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        composed = float(_mode_sum(basis, w, x, y, (0,) * dim))
         worst = max(worst, abs(direct - composed))
     return worst
-
-
-def _composed_green(bc, dim, tau1, tau2, x, y, cap):
-    basis = Basis(bc, dim, cap)
-    lam2 = basis.biharmonic_eigenvalues
-    w = np.exp(-lam2 * tau1) * np.exp(-lam2 * tau2)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    term = w
-    for ax in range(dim):
-        ux = axis_eigenfunctions(bc, basis.axis_modes, x[ax])
-        uy = axis_eigenfunctions(bc, basis.axis_modes, y[ax])
-        shape = [1] * dim
-        shape[ax] = cap
-        term = term * (ux * uy).reshape(shape)
-    return float(term.sum())
 
 
 @dataclass

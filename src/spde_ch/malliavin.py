@@ -94,12 +94,6 @@ def _evaluate_at_points(basis: Basis, stack: np.ndarray,
     return stack.reshape(lead + (-1,)) @ E
 
 
-def _bilinear_stack(gram, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if hasattr(gram, "bilinear_many"):
-        return np.asarray(gram.bilinear_many(A, B))
-    return np.array([gram.bilinear(a, b) for a, b in zip(A, B)])
-
-
 def _direction_matrix(backend: NoiseBackend) -> np.ndarray:
     """All covariance-factor columns Q^{1/2} e_j, stacked (n_dir, M..M)."""
     return np.stack([backend.direction_coefficients(j)
@@ -508,10 +502,10 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     I1_pts = np.empty(l)
     I2 = np.zeros((l, l))
     for i in range(l):
-        masses = _bilinear_stack(gram, rows[i], rows[i])
+        masses = gram.bilinear_many(rows[i], rows[i])
         I1_pts[i] = dt * float(np.sum(s_pts[:, i] ** 2 * masses))
         for j in range(i + 1, l):
-            cross = _bilinear_stack(gram, rows[i], rows[j])
+            cross = gram.bilinear_many(rows[i], rows[j])
             I2[i, j] = I2[j, i] = dt * float(
                 np.sum(s_pts[:, i] * s_pts[:, j] * cross))
 

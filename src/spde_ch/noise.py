@@ -13,7 +13,9 @@ of the correlation kernel (see covariance.gram_operator).  Backends:
                          project piecewise-constant densities onto the basis.
 
 The grid-cell backend integrates the kernel over cells with scipy.integrate,
-imported where it runs; the other backends never load it.
+imported where it runs; the other backends never load it.  The two cell
+offsets that meet the origin singularity use ``covariance._singular_quad``,
+the same quadrature that builds the direct d=1 Gram matrix.
 
 Randomness is counter-based (Philox): the stream for a given (seed, step,
 path) triple is identical no matter how many other draws happened before,
@@ -31,7 +33,8 @@ import numpy as np
 
 from .basis import NEUMANN, Basis
 from .covariance import (CovarianceSpec, DenseGram, GramOperator,
-                         IdentityGram, Rank1Gram, gram_operator)
+                         IdentityGram, Rank1Gram, _singular_quad,
+                         gram_operator)
 
 WHITE = "white"
 SPECTRAL_CHOLESKY = "spectral-cholesky"
@@ -140,10 +143,7 @@ class SpectralDiagonalBackend(NoiseBackend):
         if diag.min() < 0:
             diag = np.clip(diag, 0.0, None)
         self.scale = np.sqrt(diag)
-        total = gram.frobenius_norm()
-        kept = float(np.sqrt(np.sum(diag**2)))
-        self.dropped_mass = 0.0 if total == 0 else \
-            math.sqrt(max(total**2 - kept**2, 0.0)) / total
+        self.dropped_mass = gram.offdiagonal_mass()
         if self.dropped_mass > 0.05:
             warnings.warn(
                 f"diagonal noise backend drops {self.dropped_mass:.1%} of the "
@@ -201,14 +201,12 @@ def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
     if f.kind == CovarianceSpec.CONSTANT:
         return np.full((n_cells, n_cells), f.c * h * h)
     from scipy.integrate import quad
-    bhat = f.fitted_origin_power()
     col = np.empty(n_cells)
     # offset 0: 2 int_0^h f(u) (h-u) du, singular endpoint handled by weight
-    g0 = lambda u: 2.0 * (h - u)
-    col[0] = _alg_quad(f, g0, 0.0, h, bhat)
+    col[0] = _singular_quad(f, lambda u: 2.0 * (h - u), 0.0, h)
     if n_cells > 1:
         # offset 1: int_0^h f(u) u du + int_h^{2h} f(u) (2h-u) du
-        val = _alg_quad(f, lambda u: u, 0.0, h, bhat)
+        val = _singular_quad(f, lambda u: u, 0.0, h)
         val += quad(lambda u: float(f.evaluate_radial(u)) * (2 * h - u),
                     h, 2 * h, limit=100)[0]
         col[1] = val
@@ -219,25 +217,6 @@ def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
         col[m] = val
     idx = np.arange(n_cells)
     return col[np.abs(idx[:, None] - idx[None, :])]
-
-
-def _alg_quad(f: CovarianceSpec, smooth, a: float, b: float, bhat: float):
-    """int_a^b f(u) * smooth(u) du with an algebraic singularity at a=0."""
-    from scipy.integrate import quad
-    if f.kind == CovarianceSpec.RIESZ:
-        val, _ = quad(smooth, a, b, weight="alg", wvar=(-f.B, 0.0),
-                      limit=200)
-        return val
-    # tabulated: fitted power below the first sample, plain quadrature above
-    rmin = min(float(f.radii[0]), b)
-    amp = f.values[0] * float(f.radii[0]) ** bhat
-    val, _ = quad(smooth, a, rmin, weight="alg", wvar=(-bhat, 0.0),
-                  limit=200)
-    val *= amp
-    if rmin < b:
-        val += quad(lambda u: float(f.evaluate_radial(u)) * smooth(u),
-                    rmin, b, limit=200)[0]
-    return val
 
 
 def _cell_projection_1d(basis: Basis, n_cells: int) -> np.ndarray:

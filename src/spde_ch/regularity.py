@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import DIRICHLET, Basis, axis_eigenfunctions
 from .covariance import CovarianceSpec, holder_integrability
-from .greens import KernelExponents
+from .greens import KernelExponents, apply_semigroup
 from .solver import ModelSpec, SolverConfig, simulate
 
 TIME = "time"
@@ -452,11 +452,6 @@ class U0Report:
     lags: np.ndarray = None
 
 
-def _semigroup_states(basis, u0_hat, times):
-    lam2 = basis.biharmonic_eigenvalues
-    return [np.exp(-lam2 * t) * u0_hat for t in times]
-
-
 def u0_regularity_check(u0_values, basis: Basis, mode: str = LQ_CONTINUITY,
                         q: float = 2.0, holder_order: float = 1.0,
                         times=None) -> U0Report:
@@ -482,7 +477,7 @@ def u0_regularity_check(u0_values, basis: Basis, mode: str = LQ_CONTINUITY,
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= 0:
         raise ValueError("sample times must be positive")
-    states = _semigroup_states(basis, u0_hat, times)
+    states = [apply_semigroup(basis, u0_hat, t) for t in times]
 
     if mode == LQ_CONTINUITY:
         vals = np.array([

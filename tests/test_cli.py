@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from spde_ch import cli
+from spde_ch import cli, solver
 from spde_ch.basis import Basis
 from spde_ch.cli import (ConfigError, RunConfig, main, read_snapshot, run,
                          validate, write_snapshot)
@@ -370,6 +370,23 @@ class TestCommands:
         data = base_config(tmp_path, covariance=None)
         with pytest.raises(ConfigError, match="no covariance block"):
             run(RunConfig.from_dict(data))
+
+    def test_admissibility_checked_once_per_run(self, tmp_path, monkeypatch):
+        # validate() gates the run; the paths do not repeat the check
+        calls = {"cli": 0, "solver": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "stochastic_integrability",
+                            counting("cli", cli.stochastic_integrability))
+        monkeypatch.setattr(solver, "stochastic_integrability",
+                            counting("solver", solver.stochastic_integrability))
+        run(RunConfig.from_dict(base_config(tmp_path, options={"paths": 3})))
+        assert calls == {"cli": 1, "solver": 0}
 
 
 class TestReproducibility:

@@ -6,6 +6,7 @@ use scipy directly on independently written integrands, never the module's
 own helpers.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
                                 variance_kernel_exponent,
                                 variance_kernel_integral)
 from spde_ch.greens import KernelExponents
+from spde_ch.noise import make_backend
 
 
 def oracle_radial_riesz(d, B, e, kappa, r0):
@@ -684,3 +686,164 @@ class TestCovarianceSpecValidation:
             f.evaluate_radial(0.0)
         with pytest.raises(ValueError):
             CovarianceSpec.white(2).evaluate_radial(1.0)
+
+
+# ----------------------------------------------------------------------
+# golden bit patterns of the shared radial-kernel routes
+#
+# Riesz, constant and tabulated kernels go through one power-law-head-plus-
+# table path.  These patterns were recorded (numpy 2.4, scipy 1.17, x86-64)
+# from the code that still had a separate route per kernel kind, and the
+# shared path must reproduce them exactly.  Conditions are pinned as
+# (verdict, float.hex(value), float.hex(margin)); dense Gram matrices and
+# grid-cell covariances as the sha256 of their bytes.
+
+
+def _golden_table(dim):
+    r = np.geomspace(0.2, 5.0, 14)
+    return CovarianceSpec.tabulated(dim, r, r ** -0.6 * (1.0 + 0.3 * r))
+
+
+GOLDEN_KERNELS = {
+    "riesz1": lambda: CovarianceSpec.riesz(1, 0.5),
+    "riesz2": lambda: CovarianceSpec.riesz(2, 1.5),
+    "riesz4": lambda: CovarianceSpec.riesz(4, 1.5),
+    "const3": lambda: CovarianceSpec.constant(3, 0.7),
+    "tab1": lambda: _golden_table(1),
+    "tab2": lambda: _golden_table(2),
+}
+
+GOLDEN = {
+    'riesz2/radial/0.0/0/0.1': '0x1.fca6a2a429f6dp+1',
+    'riesz2/radial/0.0/0/1.0': '0x1.921fb54442d18p+3',
+    'riesz2/radial/0.25/1/0.1': '0x1.644d60797e96ap+6',
+    'riesz2/radial/0.25/1/1.0': '0x1.921fb54442d18p+6',
+    'riesz2/stochastic': ('admissible', '0x1.921fb54442d18p+3', '0x1.0000000000000p-1'),
+    'riesz2/holder-space': ('admissible', '0x1.921fb54442d18p+3', '0x1.0000000000000p-1'),
+    'riesz2/holder-time': ('admissible', '0x1.921fb54442d18p+4', '0x1.0000000000000p-1'),
+    'riesz2/moment': ('admissible', '0x1.921fb54442d18p+3', '0x1.0000000000000p-1'),
+    'riesz2/cahn-hilliard': ('admissible', '0x1.7ef9a071c5bb5p+1', '0x1.0cccccccccccdp+1'),
+    'riesz2/variance': '0x1.0e7978e57dd04p+3',
+    'riesz4/radial/0.0/0/0.1': '0x1.9914d2cf52d6bp-6',
+    'riesz4/radial/0.0/0/1.0': '0x1.f952e0f96d630p+2',
+    'riesz4/radial/0.25/1/0.1': '0x1.158cae5779c58p-3',
+    'riesz4/radial/0.25/1/1.0': '0x1.f315ce64f7191p+1',
+    'riesz4/stochastic': ('admissible', '0x1.94424d9457827p+1', '0x1.4000000000000p+1'),
+    'riesz4/holder-space': ('admissible', '0x1.3bd3cc9be45dep+3', '0x1.0000000000000p+1'),
+    'riesz4/holder-time': ('admissible', '0x1.3bd3cc9be45dep+5', '0x1.0000000000000p-1'),
+    'riesz4/moment': ('admissible', '0x1.3bd3cc9be45dep+5', '0x1.0000000000000p-1'),
+    'riesz4/cahn-hilliard': ('admissible', '0x1.738fc38a39d7dp+3', '0x1.b333333333333p+0'),
+    'riesz4/variance': '0x1.bcc8b80d1bfdfp+0',
+    'const3/radial/0.0/0/0.1': '0x1.8052bbb7114d9p-9',
+    'const3/radial/0.0/0/1.0': '0x1.7750cb50c6e5ap+1',
+    'const3/radial/0.25/1/0.1': '0x1.f0f5bd5411044p-7',
+    'const3/radial/0.25/1/1.0': '0x1.29c563f3ec157p+0',
+    'const3/stochastic': ('admissible', '0x1.7750cb50c6e5ap+1', '0x1.8000000000000p+1'),
+    'const3/holder-space': ('admissible', '0x1.7750cb50c6e5ap+1', '0x1.8000000000000p+1'),
+    'const3/holder-time': ('admissible', '0x1.197c987c952c4p+2', '0x1.0000000000000p+1'),
+    'const3/moment': ('admissible', '0x1.c260f3fa8846dp+1', '0x1.4000000000000p+1'),
+    'const3/cahn-hilliard': ('admissible', '0x1.4b292bdddcac8p+1', '0x1.b333333333333p+1'),
+    'const3/variance': '0x1.298ea4a053c13p-3',
+    'tab1/radial/0.0/0/0.1': '0x1.bdcba697cc1adp+0',
+    'tab1/radial/0.0/0/1.0': '0x1.4a40f94bbcfd2p+2',
+    'tab1/radial/0.25/1/0.1': '0x1.7745a93e1a444p+5',
+    'tab1/radial/0.25/1/1.0': '0x1.9babaa9c61ab4p+5',
+    'tab1/stochastic': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/holder-space': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/holder-time': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/moment': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/cahn-hilliard': ('admissible', '0x1.896ff5ddd045ep-1', '0x1.a1c1a5d8db3f6p+1'),
+    'tab1/variance': '0x1.095ac15f76c2ep+1',
+    'tab2/radial/0.0/0/0.1': '0x1.62f4c8e538c40p-3',
+    'tab2/radial/0.0/0/1.0': '0x1.511151a0df77ep+2',
+    'tab2/radial/0.25/1/0.1': '0x1.297f26e5c1e48p+0',
+    'tab2/radial/0.25/1/1.0': '0x1.44ad1f58fe1f5p+2',
+    'riesz1/gram/neumann': '2bcb127860a5fa26e62c083859c8c2675486f1c55644b4e21344d554a04a5dbc',
+    'riesz1/gram/dirichlet': '50d17ebc9ac7e2e1a0f3fde583d8a073ebaf915fc19481a103210136fc8a7916',
+    'riesz1/cell_cov': '2313d5ac6b469960cdfa719974b661f5bd658fb5cc0524043aeb70f48fee1cbd',
+    'tab1/gram/neumann': 'fa768ad5448a3cc5c6e77c6ba2268616770fb487b543bd5a98ae4e7df4742cac',
+    'tab1/gram/dirichlet': 'e4d18ee85f1261cd58f2da9bac7c9ce5b498e5f72cefb6cfcc53ac2870934e9d',
+    'tab1/cell_cov': '5257d7f64f4d3f3972fafc8f8d91a94c8c625056e19b67c130fd4087061586e5',
+}
+
+#: In d >= 2 the tabulated head is S * (v0 r0^B) where the per-kind route
+#: computed (S v0) r0^B; the two roundings differ by at most 2 ulp (1 ulp
+#: was seen).  In d = 1, S = 2 scales exactly and the values stay equal.
+GOLDEN_ULPS = {"tab2": 2}
+
+
+def _golden_keys(section):
+    return sorted(k for k in GOLDEN if k.split("/")[1] == section
+                  or (section == "condition" and isinstance(GOLDEN[k], tuple)))
+
+
+def _check_hex(key, value):
+    expected = float.fromhex(GOLDEN[key])
+    ulps = GOLDEN_ULPS.get(key.split("/")[0], 0)
+    if ulps == 0 or math.isinf(expected):
+        assert float(value).hex() == GOLDEN[key], key
+    else:
+        assert abs(value - expected) <= ulps * np.spacing(expected), key
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestGoldenBits:
+    @pytest.mark.parametrize("key", _golden_keys("radial"))
+    def test_radial_integral(self, key):
+        name, _, e, kappa, r0 = key.split("/")
+        f = GOLDEN_KERNELS[name]()
+        _check_hex(key, radial_integral(f, float(e), int(kappa), float(r0)))
+
+    @pytest.mark.parametrize("key", _golden_keys("condition"))
+    def test_condition_value_and_margin(self, key):
+        name, cond = key.split("/")
+        f = GOLDEN_KERNELS[name]()
+        ex = KernelExponents.biharmonic(f.dim)
+        rep = {"stochastic": lambda: stochastic_integrability(f, ex),
+               "holder-space": lambda: holder_integrability(f, ex, "space", 0.5),
+               "holder-time": lambda: holder_integrability(f, ex, "time", 0.5),
+               "moment": lambda: moment_integrability(f, ex, 2.0, 4.0),
+               "cahn-hilliard": lambda: cahn_hilliard_integrability(f, 0.2),
+               }[cond]()
+        assert (rep.verdict, float(rep.value).hex(),
+                float(rep.margin).hex()) == GOLDEN[key]
+
+    @pytest.mark.parametrize("key", _golden_keys("variance"))
+    def test_variance_kernel_integral(self, key):
+        f = GOLDEN_KERNELS[key.split("/")[0]]()
+        ex = KernelExponents.biharmonic(f.dim)
+        _check_hex(key, variance_kernel_integral(f, ex, 0.5, R=0.3))
+
+    @pytest.mark.parametrize("key", _golden_keys("gram"))
+    def test_direct_gram_1d_bytes(self, key):
+        name, _, bc = key.split("/")
+        dense = gram_operator(GOLDEN_KERNELS[name](), Basis(bc, 1, 4)).dense()
+        assert hashlib.sha256(dense.tobytes()).hexdigest() == GOLDEN[key]
+
+    @pytest.mark.parametrize("key", _golden_keys("cell_cov"))
+    def test_grid_cell_covariance_bytes(self, key):
+        f = GOLDEN_KERNELS[key.split("/")[0]]()
+        bk = make_backend(f, Basis(NEUMANN, 1, 4), seed=0, kind="grid-cell")
+        assert hashlib.sha256(bk.cell_cov.tobytes()).hexdigest() == GOLDEN[key]
+
+
+class TestOriginLaw:
+    def test_riesz(self):
+        assert CovarianceSpec.riesz(3, 1.25)._origin_law() == (1.0, 1.25, math.inf)
+
+    def test_constant(self):
+        assert CovarianceSpec.constant(2, 1.7)._origin_law() == (1.7, 0.0, math.inf)
+
+    def test_tabulated_passes_through_first_sample(self):
+        r = np.array([0.2, 0.5, 1.0, 3.0])
+        v = np.array([4.0, 2.5, 1.5, 1.0])
+        amp, B, r_cut = CovarianceSpec.tabulated(2, r, v)._origin_law()
+        bhat = math.log(4.0 / 2.5) / math.log(0.5 / 0.2)
+        assert B == pytest.approx(bhat, rel=1e-15)
+        assert r_cut == 0.2
+        assert amp * 0.2 ** -B == pytest.approx(4.0, rel=1e-15)
+        assert amp * 0.5 ** -B == pytest.approx(2.5, rel=1e-15)
+
+    def test_white_raises(self):
+        with pytest.raises(ValueError):
+            CovarianceSpec.white(2)._origin_law()
