@@ -19,10 +19,15 @@ two retained basis functions exactly:
 
 With those pairings the forward transform is plain quadrature against the
 basis, round trips are exact to rounding, and Parseval holds on the grid.
+
+The package reads these facts from here only: ``axis_norms`` (the
+normalisations), the transform pair ``Basis._forward``/``_inverse`` (picked
+once per basis) and ``axis_product`` (every per-axis tensor product).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,6 +47,28 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
+def axis_norms(bc: str, modes) -> np.ndarray:
+    """Normalisation of each 1-d factor e_k: 1/sqrt(pi) for the Neumann k = 0
+    mode, sqrt(2/pi) for every other mode."""
+    k = np.asarray(modes)
+    out = np.full(k.shape, math.sqrt(2.0 / math.pi))
+    if _check_bc(bc) == NEUMANN:
+        out[k == 0] = 1.0 / math.sqrt(math.pi)
+    return out
+
+
+def axis_product(factors, lead=1.0):
+    """lead * (f_0 (x) f_1 (x) ...): factor i is reshaped to axis i of
+    len(factors) trailing axes and multiplied in axis order."""
+    d = len(factors)
+    out = lead
+    for i, fac in enumerate(factors):
+        shape = [1] * d
+        shape[i] = -1
+        out = out * np.reshape(fac, shape)
+    return out
+
+
 def axis_eigenfunctions(bc: str, modes, x, deriv: int = 0) -> np.ndarray:
     """deriv-th derivative of the 1-d factors e_k at x, shape (n_modes,) + x.shape.
 
@@ -50,10 +77,11 @@ def axis_eigenfunctions(bc: str, modes, x, deriv: int = 0) -> np.ndarray:
     k = np.asarray(modes, dtype=float)
     x = np.asarray(x, dtype=float)
     phase = np.multiply.outer(k, x) + deriv * math.pi / 2
-    scale = (math.sqrt(2.0 / math.pi) * k**deriv).reshape(k.shape + (1,) * x.ndim)
-    if _check_bc(bc) == NEUMANN:
+    scale = (axis_norms(bc, k) * k**deriv).reshape(k.shape + (1,) * x.ndim)
+    if bc == NEUMANN:
         out = scale * np.cos(phase)
-        out[k == 0] = 1.0 / math.sqrt(math.pi) if deriv == 0 else 0.0
+        if deriv:
+            out[k == 0] = 0.0       # 0 * cos(pi) would leave -0.0
         return out
     return scale * np.sin(phase)
 
@@ -86,14 +114,19 @@ class Basis:
                 f"{modes_per_axis}^{dim} modes exceeds the cap {MAX_TOTAL_MODES}")
 
         M = self.modes_per_axis
+        self.spacing = self._fine_spacing(1)
         if self.bc == NEUMANN:
             self.axis_modes = np.arange(M)
-            self.spacing = math.pi / M
             self.axis_points = (np.arange(M) + 0.5) * self.spacing
+            fwd, inv, kind = sfft.dctn, sfft.idctn, 2
         else:
             self.axis_modes = np.arange(1, M + 1)
-            self.spacing = math.pi / (M + 1)
             self.axis_points = np.arange(1, M + 1) * self.spacing
+            fwd, inv, kind = sfft.dstn, sfft.idstn, 1
+        # the pair acts on the trailing d axes, so stacked fields transform too
+        axes = tuple(range(-self.dim, 0))
+        self._forward = functools.partial(fwd, type=kind, norm="ortho", axes=axes)
+        self._inverse = functools.partial(inv, type=kind, norm="ortho", axes=axes)
 
         # lambda_k = sum_i k_i^2 as a dense (M,)*d tensor
         sq = self.axis_modes.astype(float) ** 2
@@ -177,22 +210,13 @@ class Basis:
         """
         values = np.asarray(values, dtype=float)
         self._check_grid_shape(values)
-        axes = tuple(range(values.ndim - self.dim, values.ndim))
-        if self.bc == NEUMANN:
-            out = sfft.dctn(values, type=2, norm="ortho", axes=axes)
-        else:
-            out = sfft.dstn(values, type=1, norm="ortho", axes=axes)
-        return out * self.spacing ** (self.dim / 2.0)
+        return self._forward(values) * self.spacing ** (self.dim / 2.0)
 
     def inverse_transform(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> values on the collocation grid."""
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_grid_shape(coeffs)
-        axes = tuple(range(coeffs.ndim - self.dim, coeffs.ndim))
-        scaled = coeffs / self.spacing ** (self.dim / 2.0)
-        if self.bc == NEUMANN:
-            return sfft.idctn(scaled, type=2, norm="ortho", axes=axes)
-        return sfft.idstn(scaled, type=1, norm="ortho", axes=axes)
+        return self._inverse(coeffs / self.spacing ** (self.dim / 2.0))
 
     def _check_grid_shape(self, arr: np.ndarray) -> None:
         if arr.ndim < self.dim or arr.shape[-self.dim:] != self.shape:
@@ -223,15 +247,9 @@ class Basis:
             raise ValueError(f"need {self.dim} derivative orders, got {len(orders)}")
         if any(a < 0 or a % 2 for a in orders):
             raise ValueError(f"derivative orders must be even and >= 0, got {orders}")
-        out = np.array(coeffs, dtype=float, copy=True)
-        for i, a in enumerate(orders):
-            if a == 0:
-                continue
-            fac = (-(self.axis_modes.astype(float) ** 2)) ** (a // 2)
-            shape = [1] * self.dim
-            shape[i] = self.modes_per_axis
-            out = out * fac.reshape(shape)
-        return out
+        sq = -(self.axis_modes.astype(float) ** 2)
+        return axis_product([sq ** (a // 2) for a in orders],
+                            lead=np.asarray(coeffs, dtype=float))
 
     # ------------------------------------------------------------------
     # dealiased pointwise nonlinearities
@@ -245,12 +263,7 @@ class Basis:
         h = self._fine_spacing(factor)
         padded = np.zeros(lead + (factor * M,) * self.dim, dtype=float)
         padded[(...,) + (slice(0, M),) * self.dim] = coeffs / h ** (self.dim / 2.0)
-        axes = tuple(range(padded.ndim - self.dim, padded.ndim))
-        if self.bc == NEUMANN:
-            return sfft.idctn(padded, type=2, norm="ortho", axes=axes,
-                              overwrite_x=True)
-        return sfft.idstn(padded, type=1, norm="ortho", axes=axes,
-                          overwrite_x=True)
+        return self._inverse(padded, overwrite_x=True)
 
     def coeffs_from_refined_grid(self, values: np.ndarray, factor: int = 2) -> np.ndarray:
         """Project fine-grid values back onto the retained modes."""
@@ -258,13 +271,9 @@ class Basis:
         M = self.modes_per_axis
         if values.shape[-self.dim:] != (factor * M,) * self.dim:
             raise ValueError("refined grid shape mismatch")
-        axes = tuple(range(values.ndim - self.dim, values.ndim))
         h = self._fine_spacing(factor)
-        if self.bc == NEUMANN:
-            full = sfft.dctn(values, type=2, norm="ortho", axes=axes)
-        else:
-            full = sfft.dstn(values, type=1, norm="ortho", axes=axes)
-        return full[(...,) + (slice(0, M),) * self.dim] * h ** (self.dim / 2.0)
+        full = self._forward(values)[(...,) + (slice(0, M),) * self.dim]
+        return full * h ** (self.dim / 2.0)
 
     def dealiased_apply(self, fn, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
         """Coefficients of fn(u) for a pointwise fn, evaluated alias-free.
@@ -283,10 +292,6 @@ class Basis:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values) * self.quad_weight())
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """L2 inner product of two grid fields (collocation quadrature)."""
-        return float(np.sum(np.asarray(a) * np.asarray(b)) * self.quad_weight())
-
     def lq_norm(self, values: np.ndarray, q: float) -> float:
         """||.||_{L^q(Q)} of a grid field; q = inf gives the sup norm."""
         v = np.abs(np.asarray(values, dtype=float))
@@ -295,10 +300,6 @@ class Basis:
         if q < 1:
             raise ValueError(f"q must be >= 1 or inf, got {q}")
         return float((np.sum(v**q) * self.quad_weight()) ** (1.0 / q))
-
-    def lq_norm_coeffs(self, coeffs: np.ndarray, q: float, factor: int = 2) -> float:
-        """||u||_q evaluated from coefficients on a refined grid."""
-        return self.lq_norm(self.values_on_refined_grid(coeffs, factor=factor), q)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Basis(bc={self.bc!r}, dim={self.dim}, modes_per_axis={self.modes_per_axis})"

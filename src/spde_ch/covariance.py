@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as ssp
 
-from .basis import NEUMANN, Basis
+from .basis import NEUMANN, Basis, axis_norms, axis_product
 from .greens import KernelExponents
 
 ADMISSIBLE = "admissible"
@@ -719,11 +719,7 @@ def _axis_overlap_integrals(basis: Basis, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     L = math.pi - u
     modes = basis.axis_modes
-    if basis.bc == NEUMANN:
-        norms = np.where(modes == 0, 1.0 / math.sqrt(math.pi),
-                         math.sqrt(2.0 / math.pi))
-    else:
-        norms = np.full(M, math.sqrt(2.0 / math.pi))
+    norms = axis_norms(basis.bc, modes)
 
     def J(a, b):
         # int_0^L cos(a z + b) dz
@@ -745,15 +741,14 @@ def _axis_overlap_integrals(basis: Basis, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _graded_gauss_nodes(u_max: float, u_min: float, max_freq: float = 0.0,
-                        order: int = 10):
-    """Gauss-Legendre panels geometrically graded from u_max down to ~u_min.
+def _graded_gauss_nodes(u_max: float, u_min: float, max_freq: float = 0.0):
+    """10-point Gauss-Legendre panels graded geometrically from u_max to ~u_min.
 
     Each dyadic panel is split so that no sub-panel spans more than ~5 radians
     of the fastest integrand oscillation (max_freq, rad per unit length).
     """
     levels = max(4, int(math.ceil(math.log2(u_max / max(u_min, 1e-300)))) + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = np.polynomial.legendre.leggauss(10)
     nodes, weights = [], []
 
     def add_panel(lo, hi):
@@ -772,14 +767,15 @@ def _graded_gauss_nodes(u_max: float, u_min: float, max_freq: float = 0.0,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def gaussian_mixture_nodes(B: float, dim: int, tol: float = 1e-12,
-                           step: float = 0.4, target_scale: float = 1e-10):
+def gaussian_mixture_nodes(B: float, dim: int):
     """Log-trapezoid discretization of |u|^{-B} = c_B int s^{B/2-1} e^{-s u^2} ds.
 
-    Truncation: the s -> 0 tail is cut so its constant contribution is below
-    tol; the s -> inf tail is cut once the mollified scale eps = s^{-1/2}
-    satisfies eps^{dim - B} <= target_scale (the induced Gram error bound).
+    The nodes are log-spaced with step 0.4.  Truncation: the s -> 0 tail is
+    cut so its constant contribution is below 1e-12; the s -> inf tail is cut
+    once the mollified scale eps = s^{-1/2} satisfies eps^{dim - B} <= 1e-10
+    (the induced Gram error bound).
     """
+    tol, step, target_scale = 1e-12, 0.4, 1e-10
     if B <= 0:
         raise ValueError("B must be positive")
     if dim - B < 0.25:
@@ -796,9 +792,8 @@ def gaussian_mixture_nodes(B: float, dim: int, tol: float = 1e-12,
     return s, w
 
 
-def _riesz_mixture_gram(f: CovarianceSpec, basis: Basis, tol=1e-12,
-                        step=0.4) -> KroneckerMixtureGram:
-    s, w = gaussian_mixture_nodes(f.B, f.dim, tol=tol, step=step)
+def _riesz_mixture_gram(f: CovarianceSpec, basis: Basis) -> KroneckerMixtureGram:
+    s, w = gaussian_mixture_nodes(f.B, f.dim)
     u_min = 0.05 / math.sqrt(s.max())
     max_freq = 2.0 * float(basis.axis_modes.max())
     nodes, wu = _graded_gauss_nodes(math.pi, u_min, max_freq=max_freq)
@@ -810,13 +805,8 @@ def _riesz_mixture_gram(f: CovarianceSpec, basis: Basis, tol=1e-12,
 
 def _pair_overlap(basis: Basis, k: int, l: int) -> "callable":
     """Scalar-u evaluator of c_{kl}(u) + c_{lk}(u) for one mode pair."""
-    if basis.bc == NEUMANN:
-        nk = 1.0 / math.sqrt(math.pi) if k == 0 else math.sqrt(2.0 / math.pi)
-        nl = 1.0 / math.sqrt(math.pi) if l == 0 else math.sqrt(2.0 / math.pi)
-        sign = 1.0
-    else:
-        nk = nl = math.sqrt(2.0 / math.pi)
-        sign = -1.0
+    nk, nl = (float(n) for n in axis_norms(basis.bc, [k, l]))
+    sign = 1.0 if basis.bc == NEUMANN else -1.0
 
     def J(a, b, L):
         if a == 0:
@@ -866,12 +856,11 @@ def _constant_axis_integrals(basis: Basis) -> np.ndarray:
         out[0] = math.pi / math.sqrt(math.pi)
         return out
     k = modes.astype(float)
-    return math.sqrt(2.0 / math.pi) * (1.0 - np.cos(k * math.pi)) / k
+    return axis_norms(basis.bc, k) * (1.0 - np.cos(k * math.pi)) / k
 
 
-def gram_operator(f: CovarianceSpec, basis: Basis, method: str = "auto",
-                  mixture_tol: float = 1e-12,
-                  mixture_step: float = 0.4) -> GramOperator:
+def gram_operator(f: CovarianceSpec, basis: Basis,
+                  method: str = "auto") -> GramOperator:
     """Build a representation of the noise Gram matrix for a kernel.
 
     method: 'auto' (direct quadrature in d=1, Gaussian mixture in d>=2),
@@ -884,14 +873,11 @@ def gram_operator(f: CovarianceSpec, basis: Basis, method: str = "auto",
     if not f.locally_integrable:
         raise ValueError("kernel is not locally integrable; no Gram matrix")
     if f.kind == CovarianceSpec.CONSTANT:
-        axis = _constant_axis_integrals(basis)
-        vec = axis
-        for _ in range(basis.dim - 1):
-            vec = np.multiply.outer(vec, axis)
+        vec = axis_product([_constant_axis_integrals(basis)] * basis.dim)
         return Rank1Gram(basis, vec, f.c)
     direct = method == "direct" or (method == "auto" and f.dim == 1)
     if f.kind == CovarianceSpec.RIESZ and not direct:
-        return _riesz_mixture_gram(f, basis, tol=mixture_tol, step=mixture_step)
+        return _riesz_mixture_gram(f, basis)
     # Riesz by the direct route, or tabulated (which has no mixture form)
     if f.dim != 1:
         raise ValueError("direct quadrature route only supports d=1")

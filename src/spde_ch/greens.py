@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, _check_bc, axis_eigenfunctions
+from .basis import Basis, _check_bc, axis_eigenfunctions, axis_product
 
 #: drop modes whose semigroup weight is below this at the smallest time gap
 MODE_WEIGHT_FLOOR = 1e-16
@@ -121,14 +121,10 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
 
 def _mode_sum(basis: Basis, w: np.ndarray, x, y, space_derivs):
     """sum_k w_k prod_ax D^{a_ax} e_k(x_ax) e_k(y_ax) over the modes of basis."""
-    term = w
-    for ax in range(basis.dim):
-        ux = axis_eigenfunctions(basis.bc, basis.axis_modes, x[ax], space_derivs[ax])
-        uy = axis_eigenfunctions(basis.bc, basis.axis_modes, y[ax])
-        shape = [1] * basis.dim
-        shape[ax] = basis.modes_per_axis
-        term = term * (ux * uy).reshape(shape)
-    return term.sum()
+    factors = [axis_eigenfunctions(basis.bc, basis.axis_modes, x[ax], space_derivs[ax])
+               * axis_eigenfunctions(basis.bc, basis.axis_modes, y[ax])
+               for ax in range(basis.dim)]
+    return axis_product(factors, lead=w).sum()
 
 
 def apply_semigroup(basis: Basis, coeffs: np.ndarray, t: float) -> np.ndarray:

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, axis_eigenfunctions
+from .basis import Basis, axis_eigenfunctions, axis_product
 from .covariance import CovarianceSpec, small_ball_integral
 from .noise import NoiseBackend
 from .solver import (EXPONENTIAL_EULER, SCHEMES, ModelSpec, SolverConfig,
-                     Trajectory, _propagators, _scheme_update)
+                     Trajectory, _check_problem, _propagators, _scheme_update)
 
 #: Interior-margin proxy constant: evaluation points must keep a distance
 #: of at least 2 * C2 * tau^{1/4} from the boundary of [0, pi]^d.
@@ -79,11 +79,8 @@ def _check_points(basis: Basis, points) -> np.ndarray:
 
 def _mode_values_at(basis: Basis, x: np.ndarray) -> np.ndarray:
     """Tensor e_k(x) over all retained multi-indices k, shape basis.shape."""
-    out = axis_eigenfunctions(basis.bc, basis.axis_modes, x[0])
-    for a in range(1, basis.dim):
-        out = np.multiply.outer(
-            out, axis_eigenfunctions(basis.bc, basis.axis_modes, x[a]))
-    return out
+    return axis_product([axis_eigenfunctions(basis.bc, basis.axis_modes, xa)
+                         for xa in x])
 
 
 def _evaluate_at_points(basis: Basis, stack: np.ndarray,
@@ -214,14 +211,9 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     Requires a trajectory recorded at every step (store_every == 1) that
     neither exploded nor crossed its cutoff level before t0.
     """
-    model.validate(basis.dim)
-    if model.bc != basis.bc:
-        raise ValueError(f"model bc {model.bc!r} does not match basis bc {basis.bc!r}")
+    _check_problem(model, basis, backend=backend, needs_backend=True)
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}")
-    if backend is None:
-        raise ValueError("tangent propagation needs the noise backend "
-                         "(covariance factor columns)")
     if thin < 1 or int(thin) != thin:
         raise ValueError(f"thin must be a positive integer, got {thin}")
     thin = int(thin)
@@ -442,7 +434,7 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     (0, t0/2], and every point at distance >= 2 c2 tau^{1/4} from the
     boundary (the interior margin the bound needs).
     """
-    model.validate(basis.dim)
+    _check_problem(model, basis)
     pts = _check_points(basis, points)
     l = len(pts)
     times = np.asarray(traj.times, dtype=float)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NEUMANN, Basis
+from .basis import NEUMANN, Basis, axis_norms
 from .covariance import (CovarianceSpec, DenseGram, GramOperator,
                          IdentityGram, Rank1Gram, _singular_quad,
                          gram_operator)
@@ -224,15 +224,13 @@ def _cell_projection_1d(basis: Basis, n_cells: int) -> np.ndarray:
     h = math.pi / n_cells
     edges = h * np.arange(n_cells + 1)
     P = np.empty((basis.modes_per_axis, n_cells))
-    for i, k in enumerate(basis.axis_modes):
-        if basis.bc == NEUMANN:
-            if k == 0:
-                P[i] = 1.0 / math.sqrt(math.pi)
-            else:
-                nk = math.sqrt(2.0 / math.pi)
-                P[i] = nk * (np.sin(k * edges[1:]) - np.sin(k * edges[:-1])) / (k * h)
+    norms = axis_norms(basis.bc, basis.axis_modes)
+    for i, (k, nk) in enumerate(zip(basis.axis_modes, norms)):
+        if k == 0:
+            P[i] = nk
+        elif basis.bc == NEUMANN:
+            P[i] = nk * (np.sin(k * edges[1:]) - np.sin(k * edges[:-1])) / (k * h)
         else:
-            nk = math.sqrt(2.0 / math.pi)
             P[i] = nk * (np.cos(k * edges[:-1]) - np.cos(k * edges[1:])) / (k * h)
     return P
 

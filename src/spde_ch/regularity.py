@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DIRICHLET, Basis, axis_eigenfunctions
+from .basis import DIRICHLET, Basis, axis_eigenfunctions, axis_product
 from .covariance import CovarianceSpec, holder_integrability
 from .greens import KernelExponents, apply_semigroup
 from .solver import ModelSpec, SolverConfig, simulate
@@ -80,8 +80,8 @@ class Ensemble:
 
     @classmethod
     def generate(cls, model: ModelSpec, config: SolverConfig, basis: Basis,
-                 backend=None, n_paths: int = 1, u0=None, first_path: int = 0):
-        trajs = [simulate(model, config, basis, backend, u0=u0, path=first_path + p)
+                 backend=None, n_paths: int = 1, u0=None):
+        trajs = [simulate(model, config, basis, backend, u0=u0, path=p)
                  for p in range(n_paths)]
         return cls(basis, trajs)
 
@@ -123,13 +123,8 @@ class LinearOracle:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             if x.size != basis.dim:
                 raise ValueError(f"x must have {basis.dim} components")
-            w = np.ones(basis.shape)
-            for i in range(basis.dim):
-                vals = axis_eigenfunctions(basis.bc, basis.axis_modes, x[i]) ** 2
-                shape = [1] * basis.dim
-                shape[i] = M
-                w = w * vals.reshape(shape)
-            self.point_weight = w
+            self.point_weight = axis_product(
+                [axis_eigenfunctions(basis.bc, basis.axis_modes, xi) ** 2 for xi in x])
 
     def mode_variance(self, t: float):
         """Var of each mode coefficient at time t."""
@@ -167,12 +162,8 @@ class LinearOracle:
 
         M = basis.modes_per_axis
         axis_mean = 1.0 / (M * basis.spacing)
-        weight = np.ones(basis.shape)
-        for i in range(basis.dim):
-            fac = inc_sq if i == axis else np.full(M, axis_mean)
-            shape = [1] * basis.dim
-            shape[i] = M
-            weight = weight * fac.reshape(shape)
+        weight = axis_product([inc_sq if i == axis else np.full(M, axis_mean)
+                               for i in range(basis.dim)])
         return float(np.sum(weight * self.mode_variance(t)))
 
 

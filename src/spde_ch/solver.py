@@ -298,6 +298,24 @@ def _stepper(model: ModelSpec, config: SolverConfig, basis: Basis):
     return advance
 
 
+def _check_problem(model: ModelSpec, basis: Basis, u0=None, backend=None,
+                   needs_backend: bool = False) -> np.ndarray:
+    """Shared entry check: the model's hypotheses in this dimension, matching
+    boundary conditions and a backend where one is needed.  Returns u0 as a
+    fresh float array of shape basis.shape (zeros when u0 is None)."""
+    model.validate(basis.dim)
+    if model.bc != basis.bc:
+        raise ValueError(f"model bc {model.bc!r} does not match basis bc {basis.bc!r}")
+    if needs_backend and backend is None:
+        raise ValueError("no noise backend was supplied")
+    if u0 is None:
+        return np.zeros(basis.shape)
+    u = np.array(u0, dtype=float, copy=True)
+    if u.shape != basis.shape:
+        raise ValueError(f"u0 has shape {u.shape}, expected {basis.shape}")
+    return u
+
+
 def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
          increment=None):
     """Advance one step from time t; returns (new_coeffs, weight, norm).
@@ -306,10 +324,9 @@ def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
     None for a deterministic step.  The returned norm is ||u(t)||_q of the
     *incoming* state, which drives the cutoff weight.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _check_problem(model, basis, coeffs)
     if not np.all(np.isfinite(coeffs)):
         raise BlowUpError(f"non-finite state entering step at t={t}", time=t)
-    model.validate(basis.dim)
     if not model.has_noise:
         increment = None
     return _stepper(model, config, basis)(coeffs, t, increment)
@@ -339,22 +356,10 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
     turns non-finite; with truncation the run continues past the cutoff
     crossing and only records it as stop_time.
     """
-    model.validate(basis.dim)
-    if model.bc != basis.bc:
-        raise ValueError(f"model bc {model.bc!r} does not match basis bc {basis.bc!r}")
-    if model.has_noise and backend is None:
-        raise ValueError("model has noise but no backend was supplied")
+    u = _check_problem(model, basis, u0, backend, needs_backend=model.has_noise)
     _gate_admissibility(covariance, basis, force)
 
-    if u0 is None:
-        u = np.zeros(basis.shape)
-    else:
-        u = np.array(u0, dtype=float, copy=True)
-        if u.shape != basis.shape:
-            raise ValueError(f"u0 has shape {u.shape}, expected {basis.shape}")
-
     advance = _stepper(model, config, basis)
-    use_noise = model.has_noise and backend is not None
 
     times = [0.0]
     states = [u.copy()]
@@ -365,7 +370,7 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
 
     for j in range(config.n_steps):
         inc = (backend.sample_coefficients(config.dt, step=j, path=path)
-               if use_noise else None)
+               if model.has_noise else None)
         u, weight, _ = advance(u, j * config.dt, inc)
         weights.append(weight)
         t_new = (j + 1) * config.dt
@@ -413,24 +418,11 @@ def picard_solve(model: ModelSpec, config: SolverConfig, basis: Basis,
     Five consecutive increases of delta_m abort with a RuntimeError, since
     the map is then not contracting on this horizon.
     """
-    model.validate(basis.dim)
-    if model.bc != basis.bc:
-        raise ValueError(f"model bc {model.bc!r} does not match basis bc {basis.bc!r}")
-    if model.has_noise and backend is None:
-        raise ValueError("model has noise but no backend was supplied")
-
-    if u0 is None:
-        u0 = np.zeros(basis.shape)
-    else:
-        u0 = np.array(u0, dtype=float, copy=True)
+    u0 = _check_problem(model, basis, u0, backend, needs_backend=model.has_noise)
 
     n_steps = config.n_steps
-    use_noise = model.has_noise and backend is not None
-    if use_noise:
-        incs = [backend.sample_coefficients(config.dt, step=j, path=path)
-                for j in range(n_steps)]
-    else:
-        incs = [None] * n_steps
+    incs = [backend.sample_coefficients(config.dt, step=j, path=path)
+            if model.has_noise else None for j in range(n_steps)]
     advance = _stepper(model, config, basis)
 
     frozen = np.broadcast_to(u0, (n_steps + 1,) + basis.shape).copy()

@@ -55,3 +55,17 @@ def test_readme_library_example_runs():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert math.isfinite(float(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_eigenbasis_facts_live_in_basis_only():
+    """The normalisation sqrt(2/pi) and the DCT/DST calls are written only
+    in spde_ch/basis.py; every other module reads them from there."""
+    pkg = os.path.dirname(spde_ch.__file__)
+    pattern = re.compile(r"sqrt\(2\.0 / math\.pi\)|sfft\.i?d[cs]tn\b")
+    owners = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                if pattern.search(fh.read()):
+                    owners.add(name)
+    assert owners == {"basis.py"}

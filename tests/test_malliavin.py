@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spde_ch.basis import NEUMANN, Basis, axis_eigenfunctions
+from spde_ch.basis import DIRICHLET, NEUMANN, Basis, axis_eigenfunctions
 from spde_ch.covariance import CovarianceSpec, gram_operator
 from spde_ch import malliavin
 from spde_ch.malliavin import (ABSOLUTELY_CONTINUOUS, DEGENERATE,
@@ -433,6 +433,13 @@ class TestDecompositionTerms:
         with pytest.raises(ValueError, match=r"v must have shape"):
             decomposition_terms(traj, model, basis, gram, pts, tau=0.02,
                                 v=np.ones(3))
+
+    def test_boundary_condition_mismatch_raises(self, additive_run):
+        basis, backend, model, config, traj, tang = additive_run
+        dirichlet = ModelSpec(bc=DIRICHLET, sigma=model.sigma)
+        with pytest.raises(ValueError, match="does not match basis bc"):
+            decomposition_terms(traj, dirichlet, basis, backend.gram,
+                                np.array([[1.5]]), tau=0.02)
 
     def test_kernel_mass_scales_with_riesz_exponent(self):
         # d=2 Riesz kernel: log I1 vs log tau matches the small-ball rate

@@ -116,6 +116,13 @@ class TestStepBasics:
         new, _, _ = step(u0, 0.0, cahn_hilliard(), cfg, basis)
         assert new[0] == u0[0]  # bit-exact: Laplace kills the mean mode
 
+    def test_boundary_condition_mismatch_raises(self):
+        # r0 = 0.5 is a valid Neumann model but has no Dirichlet meaning
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.5))
+        cfg = SolverConfig(dt=1e-3, t_final=1e-3)
+        with pytest.raises(ValueError, match="does not match basis bc"):
+            step(np.zeros(8), 0.0, model, cfg, Basis(DIRICHLET, 1, 8))
+
     def test_semi_implicit_step_formula(self):
         basis = neumann_basis()
         cfg = SolverConfig(dt=0.05, t_final=0.05, scheme=SEMI_IMPLICIT)
@@ -395,6 +402,16 @@ class TestPicard:
         fwd = simulate(model, cfg, basis, backend, path=4)
         # linear additive model: equal states need equal increments
         np.testing.assert_array_equal(res.trajectory.coeffs, fwd.coeffs)
+
+    @pytest.mark.parametrize("u0", [np.full(4, 0.1), 0.1])
+    def test_wrong_u0_shape_raises_like_simulate(self, u0):
+        basis = Basis(NEUMANN, 2, 4)
+        model = ModelSpec(bc=NEUMANN, drifts=(((0, 0), np.sin),),
+                          lipschitz_only=True)
+        cfg = SolverConfig(dt=1e-3, t_final=1e-2)
+        for solve in (simulate, picard_solve):
+            with pytest.raises(ValueError, match="u0 has shape"):
+                solve(model, cfg, basis, u0=u0)
 
 
 class TestDeterministicConvolution:
