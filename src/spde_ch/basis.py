@@ -23,12 +23,29 @@ basis, round trips are exact to rounding, and Parseval holds on the grid.
 The package reads these facts from here only: ``axis_norms`` (the
 normalisations), the transform pair ``Basis._forward``/``_inverse`` (picked
 once per basis) and ``axis_product`` (every per-axis tensor product).
+
+Refined grids (``values_on_refined_grid``/``coeffs_from_refined_grid``) zero
+pad to N = factor * M points per axis.  One padded d-axis transform spends
+most of its first passes on lines that are all zero, so where it gives the
+same bits the refined transforms run as d one-axis passes over the nonzero
+slab instead (FFT pruning, Markel 1971).  pocketfft applies the orthonormal
+scale 1/sqrt((2N)^d) once, inside the first pass; separate passes reproduce
+that bit for bit only when the scale is an exact power of two 2^-k, because
+scaling by 2^-k commutes with rounding.  The pruned route is therefore taken
+only for Neumann bases with d >= 3 and (2N)^d a power of four; every other
+case keeps the padded call.  (At d = 2 the passes are slower than one padded
+call; the DST-I scale of Dirichlet bases is not a power of two.)  The one
+limit is the floating-point range: a field whose values all lie below about
+1e-304 can differ in the last bits of its subnormal outputs, since 2^-k then
+underflows (as can a projection of values within 2^k of overflow).  Mixed
+fields and exact zeros are bitwise equal.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 from scipy import fft as sfft
@@ -39,12 +56,26 @@ DIRICHLET = "dirichlet"
 #: hard cap on the total number of retained modes (memory guard)
 MAX_TOTAL_MODES = 2**25
 
+#: hard cap on the bytes of one refined-grid synthesis (memory guard)
+MAX_REFINED_BYTES = 2**31
+
 
 def _check_bc(bc: str) -> str:
     if bc not in (NEUMANN, DIRICHLET):
         raise ValueError(f"unknown boundary condition {bc!r}; "
                          f"expected {NEUMANN!r} or {DIRICHLET!r}")
     return bc
+
+
+def _check_factor(factor) -> int:
+    try:
+        f = operator.index(factor)
+    except TypeError:
+        f = 0
+    if f < 1:
+        raise ValueError(
+            f"refinement factor must be a positive integer, got {factor!r}")
+    return f
 
 
 def axis_norms(bc: str, modes) -> np.ndarray:
@@ -127,6 +158,13 @@ class Basis:
         axes = tuple(range(-self.dim, 0))
         self._forward = functools.partial(fwd, type=kind, norm="ortho", axes=axes)
         self._inverse = functools.partial(inv, type=kind, norm="ortho", axes=axes)
+        # unscaled one-axis DCT passes of the pruned refined-grid route
+        # (Neumann only, see _pruned_scale)
+        self._forward_axis = functools.partial(
+            sfft.dct, type=2, norm="backward", orthogonalize=True)
+        self._inverse_axis = functools.partial(
+            sfft.idct, type=2, norm="forward", orthogonalize=True,
+            overwrite_x=True)
 
         # lambda_k = sum_i k_i^2 as a dense (M,)*d tensor
         sq = self.axis_modes.astype(float) ** 2
@@ -254,26 +292,71 @@ class Basis:
     # ------------------------------------------------------------------
     # dealiased pointwise nonlinearities
 
+    def _pruned_scale(self, factor: int):
+        """2^-k when the refined transforms may run as pruned one-axis passes.
+
+        That is a Neumann basis with d >= 3 whose padded orthonormal scale
+        1/sqrt((2 factor M)^d) is exactly 2^-k; otherwise None.
+        """
+        if self.bc != NEUMANN or self.dim < 3:
+            return None
+        n = (2 * factor * self.modes_per_axis) ** self.dim
+        log2 = n.bit_length() - 1
+        if n != 1 << log2 or log2 % 2:
+            return None
+        return math.ldexp(1.0, -(log2 // 2))
+
     def values_on_refined_grid(self, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
-        """Synthesize the field on a factor-times finer grid (zero padding)."""
+        """Synthesize the field on a factor-times finer grid (zero padding).
+
+        Neumann bases with d >= 3 and (2 factor M)^d a power of four take the
+        pruned route of the module docstring: d one-axis passes over the
+        nonzero slab, bitwise equal to the padded transform except where
+        the coefficients all lie below about 1e-304 (subnormal outputs).
+        Outputs above ``MAX_REFINED_BYTES`` are refused before allocation.
+        """
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_grid_shape(coeffs)
+        factor = _check_factor(factor)
         M = self.modes_per_axis
-        lead = coeffs.shape[:-self.dim]
-        h = self._fine_spacing(factor)
-        padded = np.zeros(lead + (factor * M,) * self.dim, dtype=float)
-        padded[(...,) + (slice(0, M),) * self.dim] = coeffs / h ** (self.dim / 2.0)
-        return self._inverse(padded, overwrite_x=True)
+        shape = coeffs.shape[:-self.dim] + (factor * M,) * self.dim
+        nbytes = math.prod(shape) * coeffs.itemsize
+        if nbytes > MAX_REFINED_BYTES:
+            raise ValueError(
+                f"a factor-{factor} refined grid of shape {shape} needs {nbytes} "
+                f"bytes, above MAX_REFINED_BYTES = {MAX_REFINED_BYTES}")
+        cur = coeffs / self._fine_spacing(factor) ** (self.dim / 2.0)
+        scale = self._pruned_scale(factor)
+        if scale is None:
+            padded = np.zeros(shape, dtype=float)
+            padded[(...,) + (slice(0, M),) * self.dim] = cur
+            return self._inverse(padded, overwrite_x=True)
+        cur *= scale
+        for ax in range(-self.dim, 0):
+            cur = self._inverse_axis(cur, n=factor * M, axis=ax)
+        return cur
 
     def coeffs_from_refined_grid(self, values: np.ndarray, factor: int = 2) -> np.ndarray:
-        """Project fine-grid values back onto the retained modes."""
+        """Project fine-grid values back onto the retained modes.
+
+        Takes the same pruned route as ``values_on_refined_grid``, slicing
+        each one-axis pass to the M retained modes before the next.
+        """
         values = np.asarray(values, dtype=float)
+        factor = _check_factor(factor)
         M = self.modes_per_axis
         if values.shape[-self.dim:] != (factor * M,) * self.dim:
             raise ValueError("refined grid shape mismatch")
         h = self._fine_spacing(factor)
-        full = self._forward(values)[(...,) + (slice(0, M),) * self.dim]
-        return full * h ** (self.dim / 2.0)
+        scale = self._pruned_scale(factor)
+        if scale is None:
+            full = self._forward(values)[(...,) + (slice(0, M),) * self.dim]
+            return full * h ** (self.dim / 2.0)
+        cur = values
+        for ax in range(-self.dim, 0):
+            keep = (..., slice(0, M)) + (slice(None),) * (-ax - 1)
+            cur = self._forward_axis(cur, axis=ax)[keep]
+        return (cur * scale) * h ** (self.dim / 2.0)
 
     def dealiased_apply(self, fn, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
         """Coefficients of fn(u) for a pointwise fn, evaluated alias-free.

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
+from spde_ch import basis as basis_module
 from spde_ch.basis import (
     NEUMANN, DIRICHLET, Basis, SpectralField, GridField, apply_operator,
     axis_eigenfunctions, axis_norms, axis_product,
@@ -235,6 +238,112 @@ def test_constructor_validation():
         Basis(NEUMANN, 5, 64)   # 64^5 modes over the cap
     with pytest.raises(ValueError):
         Basis(NEUMANN, 1, 8).eigenvalue((9,))
+
+
+# ----------------------------------------------------------------------
+# pruned refined-grid route: bitwise equal to one padded transform
+
+# Neumann shapes whose padded scale 1/sqrt((2 factor M)^d) is a power of two,
+# {d: {factor: M values <= 16}}
+ROUTED = {3: {2: (1, 4, 16), 4: (2, 8)},
+          4: {2: (1, 2, 4, 8, 16), 4: (1, 2, 4, 8, 16)},
+          5: {2: (1, 4, 16), 4: (2, 8)}}
+# Refined grids above 2^20 points (d=4 x4 M=16, d=5 x2 M=16, d=5 x4 M=8) need
+# several hundred MB per call, so the sweep stops at the quench-4d size.
+ROUTED_CASES = [(d, f, M) for d, by_f in ROUTED.items()
+                for f, ms in by_f.items() for M in ms
+                if (f * M) ** d <= 2**20]
+
+
+def _padded_synthesis(b, coeffs, factor):
+    d, M = b.dim, b.modes_per_axis
+    h = b._fine_spacing(factor)
+    padded = np.zeros(coeffs.shape[:-d] + (factor * M,) * d)
+    padded[(...,) + (slice(0, M),) * d] = coeffs / h ** (d / 2.0)
+    return sfft.idctn(padded, type=2, norm="ortho", axes=tuple(range(-d, 0)),
+                      overwrite_x=True)
+
+
+def _padded_projection(b, values, factor):
+    d, M = b.dim, b.modes_per_axis
+    full = sfft.dctn(values, type=2, norm="ortho", axes=tuple(range(-d, 0)))
+    return full[(...,) + (slice(0, M),) * d] * b._fine_spacing(factor) ** (d / 2.0)
+
+
+def _states(shape, lead, seed):
+    """Random states with exact zeros: a zero first plane, and under a lead
+    axis one all-zero state."""
+    c = np.random.default_rng(seed).standard_normal(lead + shape)
+    c[..., 0] = 0.0
+    if lead:
+        c[0] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("d, factor, M", ROUTED_CASES)
+def test_pruned_route_is_bitwise_the_padded_transform(d, factor, M):
+    b = Basis(NEUMANN, d, M)
+    leads = [()] + ([(2,)] if 2 * (factor * M) ** d <= 2**20 else [])
+    for lead in leads:
+        c = _states(b.shape, lead, 0)
+        assert (b.values_on_refined_grid(c, factor).tobytes()
+                == _padded_synthesis(b, c, factor).tobytes())
+        v = _states((factor * M,) * d, lead, 1)
+        assert (b.coeffs_from_refined_grid(v, factor).tobytes()
+                == _padded_projection(b, v, factor).tobytes())
+
+
+def _count_axis_calls(monkeypatch):
+    calls = []
+    for name in ("dct", "idct"):
+        fn = getattr(sfft, name)
+        monkeypatch.setattr(
+            sfft, name, lambda *a, _fn=fn, _name=name, **k:
+            calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("bc, d, M, factor, passes", [
+    (NEUMANN, 3, 4, 2, 3), (NEUMANN, 4, 8, 4, 4), (NEUMANN, 5, 2, 4, 5),
+    (NEUMANN, 2, 16, 2, 0), (NEUMANN, 2, 12, 2, 0), (NEUMANN, 2, 16, 4, 0),
+    (NEUMANN, 3, 10, 2, 0), (NEUMANN, 3, 4, 4, 0), (NEUMANN, 1, 8, 4, 0),
+] + [(DIRICHLET, d, M, f, 0) for d in (1, 2, 3, 4, 5) for M in (1, 2, 4, 8)
+     for f in (2, 4) if (f * M) ** d <= 2**20])
+def test_only_power_of_four_neumann_shapes_in_d3_up_take_the_route(
+        monkeypatch, bc, d, M, factor, passes):
+    calls = _count_axis_calls(monkeypatch)
+    b = Basis(bc, d, M)
+    b.values_on_refined_grid(_states(b.shape, (), 2), factor)
+    assert calls == ["idct"] * passes
+    b.coeffs_from_refined_grid(_states((factor * M,) * d, (), 3), factor)
+    assert calls == ["idct"] * passes + ["dct"] * passes
+
+
+@pytest.mark.parametrize("factor", [0, -1, 1.5, "2", None])
+def test_refined_grid_factor_must_be_a_positive_integer(factor):
+    b = Basis(NEUMANN, 2, 4)
+    with pytest.raises(ValueError, match=f"factor.*{factor!r}"):
+        b.values_on_refined_grid(np.zeros(b.shape), factor)
+    with pytest.raises(ValueError, match=f"factor.*{factor!r}"):
+        b.coeffs_from_refined_grid(np.zeros((8, 8)), factor)
+    assert b.values_on_refined_grid(np.zeros(b.shape), np.int64(3)).shape == (12, 12)
+
+
+def test_refined_grid_memory_guard_raises_before_allocating(monkeypatch):
+    b = Basis(NEUMANN, 4, 8)
+    c = np.ones((3,) + b.shape)
+    need = 3 * 32**4 * 8
+    monkeypatch.setattr(basis_module, "MAX_REFINED_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"{need} bytes"):
+            b.values_on_refined_grid(c, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(basis_module, "MAX_REFINED_BYTES", need)
+    assert b.values_on_refined_grid(c, 4).nbytes == need
 
 
 # ----------------------------------------------------------------------

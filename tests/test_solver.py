@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from spde_ch.basis import DIRICHLET, NEUMANN, Basis
 from spde_ch.covariance import CovarianceSpec
@@ -563,6 +564,50 @@ class TestEnergyDiagnostics:
         en = energy_diagnostics(traj, basis)
         assert en["cum_dissipation"][0] == 0.0
         assert np.all(np.diff(en["cum_dissipation"]) >= 0.0)
+
+    @pytest.mark.parametrize("bc, d, M, reaction", [
+        (NEUMANN, 4, 8, (1.0, 0.3, -1.0, 0.2)),
+        (DIRICHLET, 3, 6, (1.0, 0.7, -1.0, 0.0)),
+        (NEUMANN, 2, 16, (1.0, 0.0, -1.0, 0.0)),
+    ])
+    def test_free_energy_bitwise_equals_padded_unslabbed_sum(self, bc, d, M,
+                                                             reaction):
+        # reference: one padded idctn/idstn on the 4x grid, W in a single
+        # pass over the whole grid, one np.sum
+        basis = Basis(bc, d, M)
+        rng = np.random.default_rng(d)
+        # an all-zero state (signed zeros), then states whose potential
+        # outweighs the gradient term, so a last-bit change in the sum shows
+        coeffs = rng.standard_normal((3,) + basis.shape)
+        coeffs *= np.array([0.0, 0.1, 0.3]).reshape((3,) + (1,) * d)
+        coeffs /= 1.0 + basis.laplace_eigenvalues
+        coeffs[(slice(1, None),) + (0,) * d] += 3.0
+        traj = Trajectory(times=np.arange(3.0), coeffs=coeffs,
+                          norms=np.ones(3), weights=np.ones(2))
+        model = ModelSpec(bc=bc, reaction=reaction)
+        got = energy_diagnostics(traj, basis, model)["free_energy"]
+
+        r3, r2, r1, r0 = reaction
+        h = basis._fine_spacing(4)
+        inverse = sfft.idctn if bc == NEUMANN else sfft.idstn
+        flat = coeffs.reshape(3, -1)
+        grad_sq = np.sum(flat**2 * basis.laplace_eigenvalues.reshape(-1), axis=1)
+        potential = np.empty(3)
+        for i in range(3):
+            padded = np.zeros((4 * M,) * d)
+            padded[(slice(0, M),) * d] = coeffs[i] / h ** (d / 2.0)
+            u = inverse(padded, type=2 if bc == NEUMANN else 1, norm="ortho",
+                        axes=tuple(range(-d, 0)), overwrite_x=True)
+            w = (r3 / 4) * u
+            w += r2 / 3
+            w *= u
+            w += r1 / 2
+            w *= u
+            w *= u
+            u *= r0
+            w += u
+            potential[i] = np.sum(w) * h ** d
+        assert got.tobytes() == (0.5 * grad_sq + potential).tobytes()
 
     def test_dirichlet_has_no_mean_mode_series(self):
         basis = Basis(DIRICHLET, 1, 8)
