@@ -21,8 +21,21 @@ With those pairings the forward transform is plain quadrature against the
 basis, round trips are exact to rounding, and Parseval holds on the grid.
 
 The package reads these facts from here only: ``axis_norms`` (the
-normalisations), the transform pair ``Basis._forward``/``_inverse`` (picked
+normalisations), the transform pair ``Basis._forward``/``_inverse`` (bound
 once per basis) and ``axis_product`` (every per-axis tensor product).
+
+The transform pair is pocketfft's C kernel, bound once per basis together
+with its transform types and normalisation codes: the Neumann pair is DCT
+type 2 forward and type 3 back, the Dirichlet pair DST type 1 both ways, all
+with the orthonormal scale (inorm 1).  Each transform is one kernel call on
+the trailing d axes (each pass of the pruned route below, one call on one
+axis) with the worker count of ``scipy.fft.get_workers()``.  These are the
+arguments ``scipy.fft.dctn``/``idctn``/``dstn``/``idstn`` with
+``norm="ortho"`` (and ``dct``/``idct`` for the passes) hand to the same
+kernel, so the results are bitwise theirs; only ``scipy.fft``'s per-call
+Python dispatch is skipped, which on the small fields of an ensemble step
+costs several times the transform itself.  As in ``scipy.fft``, an
+unaligned input is copied before the kernel reads it.
 
 Refined grids (``values_on_refined_grid``/``coeffs_from_refined_grid``) zero
 pad to N = factor * M points per axis.  One padded d-axis transform spends
@@ -43,12 +56,12 @@ fields and exact zeros are bitwise equal.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.fft._pocketfft import pypocketfft
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -76,6 +89,12 @@ def _check_factor(factor) -> int:
         raise ValueError(
             f"refinement factor must be a positive integer, got {factor!r}")
     return f
+
+
+def _aligned(x: np.ndarray) -> np.ndarray:
+    """x, or a copy of it if its buffer is unaligned: the input the kernel
+    gets from scipy.fft, whose ``_asfarray`` makes the same copy."""
+    return x if x.flags.aligned else x.copy(order="K")
 
 
 def axis_norms(bc: str, modes) -> np.ndarray:
@@ -149,22 +168,15 @@ class Basis:
         if self.bc == NEUMANN:
             self.axis_modes = np.arange(M)
             self.axis_points = (np.arange(M) + 0.5) * self.spacing
-            fwd, inv, kind = sfft.dctn, sfft.idctn, 2
+            # dctn/idctn(type=2) reach the kernel as DCT types 2 and 3
+            self._kernel, self._types = pypocketfft.dct, (2, 3)
         else:
             self.axis_modes = np.arange(1, M + 1)
             self.axis_points = np.arange(1, M + 1) * self.spacing
-            fwd, inv, kind = sfft.dstn, sfft.idstn, 1
+            # dstn/idstn(type=1) are DST type 1 both ways
+            self._kernel, self._types = pypocketfft.dst, (1, 1)
         # the pair acts on the trailing d axes, so stacked fields transform too
-        axes = tuple(range(-self.dim, 0))
-        self._forward = functools.partial(fwd, type=kind, norm="ortho", axes=axes)
-        self._inverse = functools.partial(inv, type=kind, norm="ortho", axes=axes)
-        # unscaled one-axis DCT passes of the pruned refined-grid route
-        # (Neumann only, see _pruned_scale)
-        self._forward_axis = functools.partial(
-            sfft.dct, type=2, norm="backward", orthogonalize=True)
-        self._inverse_axis = functools.partial(
-            sfft.idct, type=2, norm="forward", orthogonalize=True,
-            overwrite_x=True)
+        self._axes = tuple(range(-self.dim, 0))
 
         # lambda_k = sum_i k_i^2 as a dense (M,)*d tensor
         sq = self.axis_modes.astype(float) ** 2
@@ -241,12 +253,41 @@ class Basis:
         M = factor * self.modes_per_axis
         return math.pi / M if self.bc == NEUMANN else math.pi / (M + 1)
 
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """Orthonormal forward transform on the trailing d axes: the kernel
+        call of ``scipy.fft.dctn(type=2)``/``dstn(type=1)``, norm "ortho"."""
+        return self._kernel(x, self._types[0], self._axes, 1, None,
+                            sfft.get_workers())
+
+    def _inverse(self, x: np.ndarray, out=None) -> np.ndarray:
+        """Inverse of ``_forward``; out=x transforms in place, as
+        ``overwrite_x=True`` does."""
+        return self._kernel(x, self._types[1], self._axes, 1, out,
+                            sfft.get_workers())
+
+    def _forward_axis(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Unscaled one-axis pass of the pruned route (Neumann only): the
+        kernel call of ``scipy.fft.dct(type=2, norm="backward",
+        orthogonalize=True)``."""
+        return self._kernel(x, 2, (axis,), 0, None, sfft.get_workers(), True)
+
+    def _inverse_axis(self, x: np.ndarray, n: int, axis: int) -> np.ndarray:
+        """Zero pad ``axis`` to n points and run the unscaled inverse pass in
+        place: ``scipy.fft.idct(type=2, n=n, norm="forward",
+        orthogonalize=True)``."""
+        shape = list(x.shape)
+        shape[axis] = n
+        padded = np.zeros(shape)
+        padded[(..., slice(0, x.shape[axis])) + (slice(None),) * (-axis - 1)] = x
+        return self._kernel(padded, 3, (axis,), 0, padded, sfft.get_workers(),
+                            True)
+
     def transform(self, values: np.ndarray) -> np.ndarray:
         """Grid values -> coefficients (quadrature against the basis).
 
         Accepts stacked inputs: transforms act on the trailing d axes.
         """
-        values = np.asarray(values, dtype=float)
+        values = _aligned(np.asarray(values, dtype=float))
         self._check_grid_shape(values)
         return self._forward(values) * self.spacing ** (self.dim / 2.0)
 
@@ -330,10 +371,10 @@ class Basis:
         if scale is None:
             padded = np.zeros(shape, dtype=float)
             padded[(...,) + (slice(0, M),) * self.dim] = cur
-            return self._inverse(padded, overwrite_x=True)
+            return self._inverse(padded, out=padded)
         cur *= scale
         for ax in range(-self.dim, 0):
-            cur = self._inverse_axis(cur, n=factor * M, axis=ax)
+            cur = self._inverse_axis(cur, factor * M, ax)
         return cur
 
     def coeffs_from_refined_grid(self, values: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -342,7 +383,7 @@ class Basis:
         Takes the same pruned route as ``values_on_refined_grid``, slicing
         each one-axis pass to the M retained modes before the next.
         """
-        values = np.asarray(values, dtype=float)
+        values = _aligned(np.asarray(values, dtype=float))
         factor = _check_factor(factor)
         M = self.modes_per_axis
         if values.shape[-self.dim:] != (factor * M,) * self.dim:
@@ -355,7 +396,7 @@ class Basis:
         cur = values
         for ax in range(-self.dim, 0):
             keep = (..., slice(0, M)) + (slice(None),) * (-ax - 1)
-            cur = self._forward_axis(cur, axis=ax)[keep]
+            cur = self._forward_axis(cur, ax)[keep]
         return (cur * scale) * h ** (self.dim / 2.0)
 
     def dealiased_apply(self, fn, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:

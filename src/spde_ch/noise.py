@@ -26,6 +26,7 @@ construction.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -45,17 +46,35 @@ BACKEND_KINDS = (WHITE, SPECTRAL_CHOLESKY, SPECTRAL_DIAGONAL, GRID_CELL)
 
 
 class NoiseStream:
-    """Counter-based Gaussian streams keyed by (seed; step, path)."""
+    """Counter-based Gaussian streams keyed by (seed; step, path).
+
+    Every draw reuses one Philox bit generator: its counter is set to
+    [0, 0, step, path] with the buffer cleared, the state that a fresh
+    ``Philox(key=seed, counter=[0, 0, step, path])`` starts in.  A lock keeps
+    the reset and the draw together when threads share the stream.
+    """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._lock = threading.Lock()
+        self._generator = None
+        self._state = None
 
     def gaussians(self, step: int, path: int, n: int) -> np.ndarray:
         if step < 0 or path < 0:
             raise ValueError("step and path must be non-negative")
-        bitgen = np.random.Philox(key=self.seed,
-                                  counter=[0, 0, int(step), int(path)])
-        return np.random.Generator(bitgen).standard_normal(n)
+        counter = [0, 0, int(step), int(path)]
+        with self._lock:
+            if self._generator is None:
+                # built on the first draw, so a bad seed fails there, as a
+                # fresh Philox per draw did
+                bitgen = np.random.Philox(key=self.seed, counter=counter)
+                self._generator = np.random.Generator(bitgen)
+                self._state = bitgen.state
+            else:
+                self._state["state"]["counter"] = np.array(counter, np.uint64)
+                self._generator.bit_generator.state = self._state
+            return self._generator.standard_normal(n)
 
 
 class NoiseBackend:

@@ -255,18 +255,29 @@ ROUTED_CASES = [(d, f, M) for d, by_f in ROUTED.items()
                 if (f * M) ** d <= 2**20]
 
 
+def _public_pair(b):
+    """The basis's orthonormal pair as scipy.fft's public d-axis calls."""
+    axes = tuple(range(-b.dim, 0))
+    if b.bc == NEUMANN:
+        fwd, inv, kind = sfft.dctn, sfft.idctn, 2
+    else:
+        fwd, inv, kind = sfft.dstn, sfft.idstn, 1
+    return (lambda x: fwd(x, type=kind, norm="ortho", axes=axes),
+            lambda x: inv(x, type=kind, norm="ortho", axes=axes,
+                          overwrite_x=True))
+
+
 def _padded_synthesis(b, coeffs, factor):
     d, M = b.dim, b.modes_per_axis
     h = b._fine_spacing(factor)
     padded = np.zeros(coeffs.shape[:-d] + (factor * M,) * d)
     padded[(...,) + (slice(0, M),) * d] = coeffs / h ** (d / 2.0)
-    return sfft.idctn(padded, type=2, norm="ortho", axes=tuple(range(-d, 0)),
-                      overwrite_x=True)
+    return _public_pair(b)[1](padded)
 
 
 def _padded_projection(b, values, factor):
     d, M = b.dim, b.modes_per_axis
-    full = sfft.dctn(values, type=2, norm="ortho", axes=tuple(range(-d, 0)))
+    full = _public_pair(b)[0](values)
     return full[(...,) + (slice(0, M),) * d] * b._fine_spacing(factor) ** (d / 2.0)
 
 
@@ -294,12 +305,17 @@ def test_pruned_route_is_bitwise_the_padded_transform(d, factor, M):
 
 
 def _count_axis_calls(monkeypatch):
+    """Names the one-axis passes among the pocketfft kernel calls of bases
+    built after the patch: a pass is unscaled (inorm 0) and runs on a single
+    axis, DCT type 3 back ("idct") and type 2 forward ("dct")."""
     calls = []
-    for name in ("dct", "idct"):
-        fn = getattr(sfft, name)
-        monkeypatch.setattr(
-            sfft, name, lambda *a, _fn=fn, _name=name, **k:
-            calls.append(_name) or _fn(*a, **k))
+    for name in ("dct", "dst"):
+        def kernel(x, type, axes, inorm, *rest,
+                   _fn=getattr(basis_module.pypocketfft, name), _name=name):
+            if inorm == 0 and len(axes) == 1:
+                calls.append(("i" if type == 3 else "") + _name)
+            return _fn(x, type, axes, inorm, *rest)
+        monkeypatch.setattr(basis_module.pypocketfft, name, kernel)
     return calls
 
 
@@ -327,6 +343,111 @@ def test_refined_grid_factor_must_be_a_positive_integer(factor):
     with pytest.raises(ValueError, match=f"factor.*{factor!r}"):
         b.coeffs_from_refined_grid(np.zeros((8, 8)), factor)
     assert b.values_on_refined_grid(np.zeros(b.shape), np.int64(3)).shape == (12, 12)
+
+
+# ----------------------------------------------------------------------
+# the kernel calls are bitwise the public scipy.fft calls
+
+def _public(b, name, x, factor):
+    """Each transform written with scipy.fft's public functions: the pair,
+    the padded refined-grid calls, or the one-axis passes of the pruned
+    route."""
+    d, M = b.dim, b.modes_per_axis
+    fwd, inv = _public_pair(b)
+    x = np.asarray(x, dtype=float)
+    if name == "transform":
+        return fwd(x) * b.spacing ** (d / 2.0)
+    if name == "inverse_transform":
+        return inv(x / b.spacing ** (d / 2.0))
+    scale = b._pruned_scale(factor)
+    if name == "values_on_refined_grid":
+        if scale is None:
+            return _padded_synthesis(b, x, factor)
+        cur = x / b._fine_spacing(factor) ** (d / 2.0) * scale
+        for ax in range(-d, 0):
+            cur = sfft.idct(cur, type=2, n=factor * M, axis=ax, norm="forward",
+                            orthogonalize=True, overwrite_x=True)
+        return cur
+    if scale is None:
+        return _padded_projection(b, x, factor)
+    cur = x
+    for ax in range(-d, 0):
+        keep = (..., slice(0, M)) + (slice(None),) * (-ax - 1)
+        cur = sfft.dct(cur, type=2, axis=ax, norm="backward",
+                       orthogonalize=True)[keep]
+    return (cur * scale) * b._fine_spacing(factor) ** (d / 2.0)
+
+
+def _layouts(shape, seed):
+    """One field and stacked fields of the given trailing shape: contiguous,
+    a strided slice, a transpose (Fortran order) and an unaligned buffer."""
+    rng = np.random.default_rng(seed)
+    stacked = (2,) + shape
+    n = math.prod(stacked)
+    unaligned = np.frombuffer(bytearray(8 * n + 1), dtype=float, offset=1,
+                              count=n).reshape(stacked)
+    unaligned[...] = rng.standard_normal(stacked)
+    assert not unaligned.flags.aligned
+    strided = rng.standard_normal((2,) + tuple(2 * s for s in shape))
+    return {
+        "single": rng.standard_normal(shape),
+        "stacked": rng.standard_normal(stacked),
+        "sliced": strided[(...,) + (slice(None, None, 2),) * len(shape)],
+        "transposed": rng.standard_normal(stacked[::-1]).T,
+        "unaligned": unaligned,
+    }
+
+
+# (d, M, factor): Neumann takes the pruned route at d=3 M=4, d=4 M=2 and
+# d=5 M=2 x4, the padded call elsewhere; Dirichlet always pads
+KERNEL_CASES = [(1, 5, 2), (2, 4, 2), (3, 3, 2), (3, 4, 2), (4, 2, 2), (5, 2, 4)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d, M, factor", KERNEL_CASES)
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+def test_kernel_calls_are_bitwise_the_public_scipy_fft_calls(bc, d, M, factor,
+                                                             workers):
+    b = Basis(bc, d, M)
+    fine = (factor * M,) * d
+    inputs = {"transform": b.shape, "inverse_transform": b.shape,
+              "values_on_refined_grid": b.shape,
+              "coeffs_from_refined_grid": fine}
+    with sfft.set_workers(workers):
+        for i, (name, shape) in enumerate(inputs.items()):
+            for layout, x in _layouts(shape, i).items():
+                args = (x,) if name.endswith("transform") else (x, factor)
+                got = getattr(b, name)(*args)
+                want = _public(b, name, x, factor)
+                assert got.shape == want.shape, (name, layout)
+                assert got.tobytes() == want.tobytes(), (name, layout)
+
+
+def test_kernel_gets_the_fft_workers_and_aligned_input(monkeypatch):
+    seen = []
+    kernel = basis_module.pypocketfft.dct
+
+    def recording(x, type, axes, inorm, out, nthreads, *rest):
+        seen.append((nthreads, x.flags.aligned))
+        return kernel(x, type, axes, inorm, out, nthreads, *rest)
+
+    def unaligned(arr):
+        buf = np.frombuffer(bytearray(arr.nbytes + 1), dtype=float, offset=1,
+                            count=arr.size).reshape(arr.shape)
+        buf[...] = arr
+        return buf
+
+    monkeypatch.setattr(basis_module.pypocketfft, "dct", recording)
+    pruned, padded = Basis(NEUMANN, 3, 4), Basis(NEUMANN, 2, 4)
+    for workers in (1, 2):
+        seen.clear()
+        with sfft.set_workers(workers):
+            for b in (pruned, padded):
+                c = b.transform(unaligned(b.inverse_transform(np.ones(b.shape))))
+                v = unaligned(b.values_on_refined_grid(c, 2))
+                b.coeffs_from_refined_grid(v, 2)
+        # pruned: 1 + 1 + 3 + 3 calls, padded: 4
+        assert seen == [(workers, True)] * 12
 
 
 def test_refined_grid_memory_guard_raises_before_allocating(monkeypatch):

@@ -58,13 +58,17 @@ def test_readme_library_example_runs():
 
 
 def test_eigenbasis_facts_live_in_basis_only():
-    """The normalisation sqrt(2/pi) and the DCT/DST calls, d-axis and
-    one-axis, are written only in spde_ch/basis.py; every other module reads
-    them from there."""
+    """The normalisation sqrt(2/pi), the DCT/DST calls, d-axis and one-axis,
+    and the pocketfft kernel behind them are written only in
+    spde_ch/basis.py; every other module reads them from there."""
     pkg = os.path.dirname(spde_ch.__file__)
-    pattern = re.compile(r"sqrt\(2\.0 / math\.pi\)|sfft\.i?d[cs]tn?\b")
+    pattern = re.compile(r"sqrt\(2\.0 / math\.pi\)|sfft\.i?d[cs]tn?\b"
+                         r"|_pocketfft|pypocketfft")
     assert pattern.search("sfft.idct(x)") and pattern.search("sfft.dst(x)")
+    assert pattern.search("from scipy.fft._pocketfft import pypocketfft")
+    assert pattern.search("pypocketfft.dct(x, 2)")
     assert not pattern.search("sfft.set_workers(2)")
+    assert not pattern.search("sfft.get_workers()")
     owners = set()
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):

@@ -1,6 +1,8 @@
 """Tests for noise backends: streams, factors, and covariance fidelity."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -38,6 +40,58 @@ class TestNoiseStream:
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseStream(0).gaussians(-1, 0, 3)
+
+    @staticmethod
+    def _fresh(seed, step, path, n):
+        bitgen = np.random.Philox(key=seed, counter=[0, 0, step, path])
+        return np.random.Generator(bitgen).standard_normal(n)
+
+    def test_bitwise_a_fresh_philox_per_draw(self):
+        """One reused stream, drawn in an interleaved order with odd and even
+        lengths, equals a fresh Philox(key=seed, counter=[0, 0, step, path])
+        per draw."""
+        for seed in (0, 1, 12, 2**40 + 3, 2**63 - 1):
+            s = NoiseStream(seed)
+            for step in (0, 1, 7, 199, 2**33):
+                for path in (0, 1, 99, 2**32 + 5, 2**63):
+                    n = 1 + (step + path) % 9
+                    assert (s.gaussians(step, path, n).tobytes()
+                            == self._fresh(seed, step, path, n).tobytes())
+
+    def test_bad_seed_fails_on_every_draw(self):
+        s = NoiseStream(-1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="key"):
+                s.gaussians(0, 0, 3)
+
+    def test_threads_share_one_stream(self):
+        """Threads drawing from one stream (more threads than cores, frequent
+        switches) each get the draws of their own counters."""
+        s = NoiseStream(5)
+        n_threads, n_steps = 4, 500
+        draws = {p: [] for p in range(n_threads)}
+        start = threading.Barrier(n_threads)
+
+        def work(path):
+            start.wait()
+            for step in range(n_steps):
+                draws[path].append(s.gaussians(step, path, 8))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(p,)) for p in draws]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        for path, got in draws.items():
+            assert len(got) == n_steps
+            for step, x in enumerate(got):
+                assert x.tobytes() == self._fresh(5, step, path, 8).tobytes()
 
 
 class TestBackendDispatch:

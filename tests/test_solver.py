@@ -711,6 +711,25 @@ class TestSimulateInterface:
         c = simulate(model, cfg, basis, backend, path=4)
         assert not np.allclose(a.final, c.final)
 
+    @pytest.mark.parametrize("bc, d, M", [(NEUMANN, 2, 8), (NEUMANN, 3, 4),
+                                          (DIRICHLET, 2, 6)])
+    def test_never_enters_scipy_fft_dispatch(self, monkeypatch, bc, d, M):
+        """Every transform of a run is a direct pocketfft kernel call; the
+        d = 3 Neumann run takes the pruned one-axis route."""
+        def dispatch(*args, **kwargs):
+            raise AssertionError("scipy.fft dispatch entered")
+        for name in ("dctn", "idctn", "dct", "idct",
+                     "dstn", "idstn", "dst", "idst"):
+            monkeypatch.setattr(sfft, name, dispatch)
+        basis = Basis(bc, d, M)
+        backend = make_backend(CovarianceSpec.riesz(d, B=1.0), basis, seed=3)
+        model = ModelSpec(bc=bc, reaction=(1.0, 0.0, -1.0, 0.0), sigma=0.1)
+        cfg = SolverConfig(dt=1e-3, t_final=0.005, truncation=8.0, q=4.0)
+        traj = simulate(model, cfg, basis, backend=backend, path=1)
+        en = energy_diagnostics(traj, basis, model)
+        assert np.all(np.isfinite(traj.final))
+        assert np.all(np.isfinite(en["l2_sq"]))
+
     def test_state_at_lookup(self):
         basis = neumann_basis(8)
         cfg = SolverConfig(dt=0.01, t_final=0.05)
