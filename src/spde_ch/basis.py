@@ -27,15 +27,19 @@ once per basis) and ``axis_product`` (every per-axis tensor product).
 The transform pair is pocketfft's C kernel, bound once per basis together
 with its transform types and normalisation codes: the Neumann pair is DCT
 type 2 forward and type 3 back, the Dirichlet pair DST type 1 both ways, all
-with the orthonormal scale (inorm 1).  Each transform is one kernel call on
-the trailing d axes (each pass of the pruned route below, one call on one
-axis) with the worker count of ``scipy.fft.get_workers()``.  These are the
-arguments ``scipy.fft.dctn``/``idctn``/``dstn``/``idstn`` with
-``norm="ortho"`` (and ``dct``/``idct`` for the passes) hand to the same
-kernel, so the results are bitwise theirs; only ``scipy.fft``'s per-call
-Python dispatch is skipped, which on the small fields of an ensemble step
-costs several times the transform itself.  As in ``scipy.fft``, an
-unaligned input is copied before the kernel reads it.
+with the orthonormal scale (inorm 1).  Each transform is one single-threaded
+kernel call on the trailing d axes (each pass of the pruned route below, one
+call on one axis).  These are the arguments ``scipy.fft.dctn``/``idctn``/
+``dstn``/``idstn`` with ``norm="ortho"`` (and ``dct``/``idct`` for the
+passes) hand to the same kernel at one worker, so the results are bitwise
+theirs; only ``scipy.fft``'s per-call Python dispatch is skipped, which on
+the small fields of an ensemble step costs several times the transform
+itself.  As in ``scipy.fft``, an unaligned input is copied before the kernel
+reads it.  ``scipy.fft.set_workers`` has no effect here: parallel work runs
+across paths (``spde_ch.cli``), where two workers inside one transform
+measured slower than one.  The kernel is loaded from its file in scipy's
+``fft/_pocketfft`` directory, so the ``scipy.fft`` package, whose import
+costs more than a short run, is never imported.
 
 Refined grids (``values_on_refined_grid``/``coeffs_from_refined_grid``) zero
 pad to N = factor * M points per axis.  One padded d-axis transform spends
@@ -56,12 +60,13 @@ fields and exact zeros are bitwise equal.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.fft._pocketfft import pypocketfft
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -71,6 +76,33 @@ MAX_TOTAL_MODES = 2**25
 
 #: hard cap on the bytes of one refined-grid synthesis (memory guard)
 MAX_REFINED_BYTES = 2**31
+
+
+def _load_kernel(directory: str):
+    """scipy's pypocketfft extension module, loaded from its file in directory.
+
+    The file name is ``pypocketfft`` plus one of the interpreter's extension
+    suffixes; anything but exactly one such file raises ImportError.
+    """
+    name = "pypocketfft"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    found = [path for path in (os.path.join(directory, name + s)
+                               for s in suffixes) if os.path.isfile(path)]
+    if len(found) != 1:
+        raise ImportError(
+            f"expected one pocketfft kernel file "
+            f"{os.path.join(directory, name)}{{{','.join(suffixes)}}}, "
+            f"found {len(found)}")
+    spec = importlib.util.spec_from_file_location(
+        "scipy.fft._pocketfft." + name, found[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pypocketfft = _load_kernel(os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0],
+    "fft", "_pocketfft"))
 
 
 def _check_bc(bc: str) -> str:
@@ -256,20 +288,18 @@ class Basis:
     def _forward(self, x: np.ndarray) -> np.ndarray:
         """Orthonormal forward transform on the trailing d axes: the kernel
         call of ``scipy.fft.dctn(type=2)``/``dstn(type=1)``, norm "ortho"."""
-        return self._kernel(x, self._types[0], self._axes, 1, None,
-                            sfft.get_workers())
+        return self._kernel(x, self._types[0], self._axes, 1, None, 1)
 
     def _inverse(self, x: np.ndarray, out=None) -> np.ndarray:
         """Inverse of ``_forward``; out=x transforms in place, as
         ``overwrite_x=True`` does."""
-        return self._kernel(x, self._types[1], self._axes, 1, out,
-                            sfft.get_workers())
+        return self._kernel(x, self._types[1], self._axes, 1, out, 1)
 
     def _forward_axis(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Unscaled one-axis pass of the pruned route (Neumann only): the
         kernel call of ``scipy.fft.dct(type=2, norm="backward",
         orthogonalize=True)``."""
-        return self._kernel(x, 2, (axis,), 0, None, sfft.get_workers(), True)
+        return self._kernel(x, 2, (axis,), 0, None, 1, True)
 
     def _inverse_axis(self, x: np.ndarray, n: int, axis: int) -> np.ndarray:
         """Zero pad ``axis`` to n points and run the unscaled inverse pass in
@@ -279,8 +309,7 @@ class Basis:
         shape[axis] = n
         padded = np.zeros(shape)
         padded[(..., slice(0, x.shape[axis])) + (slice(None),) * (-axis - 1)] = x
-        return self._kernel(padded, 3, (axis,), 0, padded, sfft.get_workers(),
-                            True)
+        return self._kernel(padded, 3, (axis,), 0, padded, 1, True)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         """Grid values -> coefficients (quadrature against the basis).
@@ -301,7 +330,7 @@ class Basis:
         if arr.ndim < self.dim or arr.shape[-self.dim:] != self.shape:
             raise ValueError(
                 f"array trailing shape {arr.shape} does not match basis shape {self.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite entries in field")
 
     # ------------------------------------------------------------------

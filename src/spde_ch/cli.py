@@ -20,11 +20,11 @@ import math
 import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-from scipy import fft as sfft
 
 from . import __version__
 from .basis import DIRICHLET, NEUMANN, Basis
@@ -327,16 +327,29 @@ def _build_problem(config, basis):
 
 
 def _run_paths(model, solver, basis, backend, n_paths, u0):
-    # Paths run serially with one FFT worker: per-step transforms act on a
-    # single small field, where worker dispatch costs more than it saves.
-    # run() has already applied the admissibility gate through validate(),
-    # so simulate() is not handed the kernel to check it again per path.
-    with sfft.set_workers(1):
-        return [simulate(model, solver, basis, backend=backend, u0=u0, path=path)
-                for path in range(n_paths)]
+    # Paths run serially, so the noise streams are drawn in one order;
+    # _map_paths parallelises the per-path work after this loop.  run() has
+    # already applied the admissibility gate through validate(), so
+    # simulate() is not handed the kernel to check it again per path.
+    return [simulate(model, solver, basis, backend=backend, u0=u0, path=path)
+            for path in range(n_paths)]
 
 
-def _cmd_check_covariance(config, basis, outdir, h):
+def _map_paths(fn, trajs, threads):
+    """[fn(traj) for traj in trajs], on min(threads, len(trajs)) threads.
+
+    Results come back in path order, so outputs do not depend on the
+    width; at width 1 no pool is built.  The work is numpy and pocketfft
+    code that releases the interpreter lock.
+    """
+    width = min(threads, len(trajs))
+    if width <= 1:
+        return [fn(traj) for traj in trajs]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, trajs))
+
+
+def _cmd_check_covariance(config, basis, outdir, h, threads):
     if config.covariance is None:
         raise ConfigError("check-covariance needs a covariance block")
     dim = basis.dim
@@ -365,7 +378,7 @@ def _cmd_check_covariance(config, basis, outdir, h):
     return ["covariance.csv"]
 
 
-def _cmd_green(config, basis, outdir, h):
+def _cmd_green(config, basis, outdir, h, threads):
     d = basis.dim
     taus = config.options.get("taus") or [1e-3, 1e-2, 1e-1]
     center = [math.pi / 2] * d
@@ -385,15 +398,17 @@ def _cmd_green(config, basis, outdir, h):
     return ["green.csv"]
 
 
-def _cmd_simulate(config, basis, outdir, h):
+def _cmd_simulate(config, basis, outdir, h, threads):
     model, solver, _, backend = _build_problem(config, basis)
     n_paths = int(config.options.get("paths", 1))
     u0 = config.initial_state(basis)
     trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
+    diags = _map_paths(
+        lambda traj: energy_diagnostics(traj, basis, model=model), trajs,
+        threads)
 
     summary, series, finals = [], [], []
-    for traj in trajs:
-        diag = energy_diagnostics(traj, basis, model=model)
+    for traj, diag in zip(trajs, diags):
         summary.append((traj.path, traj.exploded, traj.stop_time,
                         traj.norms[-1], diag["l2_sq"][-1],
                         diag["cum_dissipation"][-1]))
@@ -418,7 +433,7 @@ def _cmd_simulate(config, basis, outdir, h):
     return files
 
 
-def _cmd_picard(config, basis, outdir, h):
+def _cmd_picard(config, basis, outdir, h, threads):
     model, solver, _, backend = _build_problem(config, basis)
     result = picard_solve(model, solver, basis, backend=backend,
                           u0=config.initial_state(basis),
@@ -434,7 +449,7 @@ def _cmd_picard(config, basis, outdir, h):
     return ["picard.csv", "picard.jsonl"]
 
 
-def _cmd_regularity(config, basis, outdir, h):
+def _cmd_regularity(config, basis, outdir, h, threads):
     model, solver, _, backend = _build_problem(config, basis)
     n_paths = int(config.options.get("paths", 50))
     trajs = _run_paths(model, solver, basis, backend, n_paths,
@@ -470,7 +485,7 @@ def _cmd_regularity(config, basis, outdir, h):
     return ["structure.csv", "fits.jsonl", "moments.csv"]
 
 
-def _cmd_malliavin(config, basis, outdir, h):
+def _cmd_malliavin(config, basis, outdir, h, threads):
     model, solver, f, backend = _build_problem(config, basis)
     if backend is None:
         raise ConfigError("malliavin needs a covariance block")
@@ -487,20 +502,28 @@ def _cmd_malliavin(config, basis, outdir, h):
     u0 = config.initial_state(basis)
     trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
 
-    eig_rows, dec_rows, gammas = [], [], []
-    for traj in trajs:
+    def analyse(traj):
+        # The tangent state is the largest object of the run; it dies with
+        # this call, so at most one per pool thread is alive at a time.
         tang = tangent_propagate(traj, model, solver, basis, backend,
                                  thin=thin)
         mm = malliavin_matrix(tang, points)
-        gammas.append(mm)
-        for i, eig in enumerate(mm.eigenvalues()):
-            eig_rows.append((traj.path, i, eig))
+        eig_rows = [(traj.path, i, eig)
+                    for i, eig in enumerate(mm.eigenvalues())]
+        dec_rows = []
         if traj.path == trajs[0].path:
             for tau in taus:
                 dec = decomposition_terms(traj, model, basis, backend.gram,
                                           points, tau=float(tau), tangent=tang)
                 dec_rows.append((tau, dec.i1, dec.i2, dec.i3.max(),
                                  dec.i4.max(), dec.lower_bound))
+        return mm, eig_rows, dec_rows
+
+    eig_rows, dec_rows, gammas = [], [], []
+    for mm, eigs, decs in _map_paths(analyse, trajs, threads):
+        gammas.append(mm)
+        eig_rows += eigs
+        dec_rows += decs
     _write_csv(os.path.join(outdir, "eigenvalues.csv"),
                ("path", "index", "eigenvalue"), eig_rows, h)
     _write_csv(os.path.join(outdir, "decomposition.csv"),
@@ -537,11 +560,12 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     """Execute one command and return the manifest that was written.
 
     The validation report gates the run: violated hypotheses abort unless
-    force is set.  threads is the scipy.fft worker count for the work
-    after the path loop (energy grids, stacked tangent blocks); the paths
-    themselves run serially.  Outputs land in config.outdir; the manifest
-    records the config (and its hash), library versions, and a sha256 per
-    emitted file.
+    force is set.  threads bounds the width of the thread pool that runs
+    the per-path work after the serial path loop (energy diagnostics of
+    simulate; tangents and Malliavin matrices of malliavin), one path per
+    task, so a single-path run gains nothing from it.  Outputs land in
+    config.outdir; the manifest records the config (and its hash), library
+    versions, and a sha256 per emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:
@@ -553,8 +577,8 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     h = config.config_hash()
-    with sfft.set_workers(max(1, int(threads))):
-        files = _HANDLERS[config.command](config, basis, outdir, h)
+    files = _HANDLERS[config.command](config, basis, outdir, h,
+                                      max(1, int(threads)))
 
     manifest = {
         "command": config.command,
@@ -601,9 +625,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None, help="override the output dir")
         p.add_argument("--threads", type=int, default=None,
-                       help="scipy.fft workers for the work after the "
-                            "serial path loop (fallback: "
-                            f"${THREADS_ENV})")
+                       help="threads for the per-path work after the "
+                            "serial path loop, at most one per path "
+                            f"(fallback: ${THREADS_ENV})")
         p.add_argument("--force", action="store_true",
                        help="run even when validation reports violations")
     return parser

@@ -27,7 +27,8 @@ matrices; no dense d-dimensional singular quadrature is ever attempted.
 
 scipy.integrate is imported inside the routes that integrate (table parts,
 the direct d=1 Gram, the variance-kernel integral), so a run that only meets
-Riesz or constant kernels in d >= 2 never loads it.
+Riesz or constant kernels in d >= 2 never loads it; scipy.special is
+imported by the variance-kernel integral alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as ssp
 
 from .basis import NEUMANN, Basis, axis_norms, axis_product
 from .greens import KernelExponents
@@ -416,6 +416,7 @@ def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
         raise ValueError("need shift >= 0 and moment_ratio in (0, 1]")
     if not f.has_density:
         raise ValueError("white noise has no variance kernel density")
+    from scipy import special as ssp
     from scipy.integrate import quad
     d, S = f.dim, sphere_area(f.dim)
     beta, gamma = exponents.beta, exponents.gamma

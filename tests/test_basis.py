@@ -423,7 +423,7 @@ def test_kernel_calls_are_bitwise_the_public_scipy_fft_calls(bc, d, M, factor,
                 assert got.tobytes() == want.tobytes(), (name, layout)
 
 
-def test_kernel_gets_the_fft_workers_and_aligned_input(monkeypatch):
+def test_kernel_runs_single_threaded_on_aligned_input(monkeypatch):
     seen = []
     kernel = basis_module.pypocketfft.dct
 
@@ -439,7 +439,7 @@ def test_kernel_gets_the_fft_workers_and_aligned_input(monkeypatch):
 
     monkeypatch.setattr(basis_module.pypocketfft, "dct", recording)
     pruned, padded = Basis(NEUMANN, 3, 4), Basis(NEUMANN, 2, 4)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         seen.clear()
         with sfft.set_workers(workers):
             for b in (pruned, padded):
@@ -447,7 +447,17 @@ def test_kernel_gets_the_fft_workers_and_aligned_input(monkeypatch):
                 v = unaligned(b.values_on_refined_grid(c, 2))
                 b.coeffs_from_refined_grid(v, 2)
         # pruned: 1 + 1 + 3 + 3 calls, padded: 4
-        assert seen == [(workers, True)] * 12
+        assert seen == [(1, True)] * 12
+
+
+def test_kernel_loader_needs_exactly_one_file(tmp_path):
+    with pytest.raises(ImportError, match=r"pypocketfft\{.*found 0"):
+        basis_module._load_kernel(str(tmp_path))
+    (tmp_path / "pypocketfft.so").write_bytes(b"")
+    (tmp_path / "pypocketfft.abi3.so").write_bytes(b"")
+    with pytest.raises(ImportError, match="found 2") as err:
+        basis_module._load_kernel(str(tmp_path))
+    assert str(tmp_path) in str(err.value)
 
 
 def test_refined_grid_memory_guard_raises_before_allocating(monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ def base_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -398,14 +404,71 @@ class TestReproducibility:
         data["options"]["snapshots"] = True
         if command == "regularity":
             data["options"]["paths"] = 4
-        first = RunConfig.from_dict(dict(data, outdir=str(tmp_path / "a")))
-        second = RunConfig.from_dict(dict(data, outdir=str(tmp_path / "b")))
-        files = run(first, threads=1)["files"]
-        assert run(second, threads=2)["files"] == files
-        for name in files:
-            a = open(os.path.join(first.outdir, name), "rb").read()
-            b = open(os.path.join(second.outdir, name), "rb").read()
-            assert a == b, f"{name} differs between runs"
+        outdirs = [str(tmp_path / f"threads{n}") for n in (1, 2, 3)]
+        files = [run(RunConfig.from_dict(dict(data, outdir=out)),
+                     threads=n)["files"]
+                 for n, out in zip((1, 2, 3), outdirs)]
+        assert files[1] == files[0] and files[2] == files[0]
+        for name in files[0]:
+            a, b, c = (_read_bytes(os.path.join(out, name)) for out in outdirs)
+            assert a == b == c, f"{name} differs between runs"
+
+
+
+class TestPathPool:
+
+    @pytest.mark.parametrize("command, paths, threads, widths", [
+        ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
+        ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
+        ("malliavin", 2, 3, [2]), ("regularity", 4, 2, []),
+    ])
+    def test_pool_width_is_threads_capped_by_paths(self, tmp_path, monkeypatch,
+                                                   command, paths, threads,
+                                                   widths):
+        built, mapped = [], []
+
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor and runs tasks in order."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                mapped.append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        data = base_config(tmp_path, command=command)
+        data["options"]["paths"] = paths
+        run(RunConfig.from_dict(data), threads=threads)
+        assert built == widths
+        assert mapped == [paths] * len(widths)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_malliavin_keeps_one_tangent_per_thread(self, tmp_path,
+                                                   monkeypatch, threads):
+        live, seen = [], []
+        original = cli.tangent_propagate
+
+        def propagate(*args, **kwargs):
+            seen.append(sum(ref() is not None for ref in live))
+            tangent = original(*args, **kwargs)
+            live.append(weakref.ref(tangent))
+            return tangent
+
+        monkeypatch.setattr(cli, "tangent_propagate", propagate)
+        data = base_config(tmp_path, command="malliavin")
+        data["options"]["paths"] = 3
+        run(RunConfig.from_dict(data), threads=threads)
+        assert len(seen) == 3
+        assert max(seen) < threads
 
     def test_different_seed_changes_outputs(self, tmp_path):
         data = base_config(tmp_path)

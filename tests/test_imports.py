@@ -1,8 +1,10 @@
-"""What importing the package and setting up a Riesz run loads.
+"""What importing the package, setting up a Riesz run and running it load.
 
 Quadrature (scipy.integrate, which pulls in scipy.optimize) and scipy.linalg
-are imported only on the routes that use them.  The check runs in a fresh
-interpreter, because other test modules import scipy.integrate into the
+are imported only on the routes that use them, and no route of a simulate
+run imports scipy.fft or scipy.special (both load scipy's array-API layer,
+whose import costs more than a short run).  The checks run in a fresh
+interpreter, because other test modules import these packages into the
 pytest process itself.
 """
 
@@ -35,12 +37,42 @@ print(",".join(loaded))
 """
 
 
-def test_riesz_setup_loads_no_quadrature_or_scipy_linalg():
+SIMULATE_SCRIPT = r"""
+import sys
+import tempfile
+import spde_ch.cli as cli
+with tempfile.TemporaryDirectory() as out:
+    cli.run(cli.RunConfig.from_dict({
+        "command": "simulate",
+        "basis": {"bc": "neumann", "dim": 2, "modes_per_axis": 6},
+        "model": {"reaction": [1.0, 0.0, -1.0, 0.0], "sigma": 0.1},
+        "solver": {"dt": 0.001, "t_final": 0.01, "q": 4.0,
+                   "truncation": 8.0},
+        "covariance": {"kind": "riesz", "B": 1.0},
+        "seed": 0,
+        "outdir": out,
+        "options": {"paths": 2, "snapshots": True},
+    }), threads=2)
+loaded = [m for m in ("scipy.fft", "scipy.special", "scipy._lib._array_api")
+          if m in sys.modules]
+print(",".join(loaded))
+"""
+
+
+def _fresh_stdout(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(spde_ch.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout.strip()
+
+
+def test_riesz_setup_loads_no_quadrature_or_scipy_linalg():
+    assert _fresh_stdout(SCRIPT) == ""
+
+
+def test_simulate_run_loads_neither_scipy_fft_nor_scipy_special():
+    assert _fresh_stdout(SIMULATE_SCRIPT) == ""
