@@ -413,6 +413,17 @@ class TestReproducibility:
             a, b, c = (_read_bytes(os.path.join(out, name)) for out in outdirs)
             assert a == b == c, f"{name} differs between runs"
 
+    def test_different_seed_changes_outputs(self, tmp_path):
+        data = base_config(tmp_path)
+        first = RunConfig.from_dict(
+            dict(data, outdir=str(tmp_path / "a")))
+        second = RunConfig.from_dict(
+            dict(data, seed=8, outdir=str(tmp_path / "b")))
+        run(first)
+        run(second)
+        a = open(os.path.join(first.outdir, "paths.csv")).read()
+        b = open(os.path.join(second.outdir, "paths.csv")).read()
+        assert a != b
 
 
 class TestPathPool:
@@ -469,18 +480,6 @@ class TestPathPool:
         run(RunConfig.from_dict(data), threads=threads)
         assert len(seen) == 3
         assert max(seen) < threads
-
-    def test_different_seed_changes_outputs(self, tmp_path):
-        data = base_config(tmp_path)
-        first = RunConfig.from_dict(
-            dict(data, outdir=str(tmp_path / "a")))
-        second = RunConfig.from_dict(
-            dict(data, seed=8, outdir=str(tmp_path / "b")))
-        run(first)
-        run(second)
-        a = open(os.path.join(first.outdir, "paths.csv")).read()
-        b = open(os.path.join(second.outdir, "paths.csv")).read()
-        assert a != b
 
 
 class TestMain:
