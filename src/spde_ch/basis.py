@@ -41,6 +41,13 @@ measured slower than one.  The kernel is loaded from its file in scipy's
 ``fft/_pocketfft`` directory, so the ``scipy.fft`` package, whose import
 costs more than a short run, is never imported.
 
+Each basis computes its constants once: the coefficient scale
+spacing^(d/2), the quadrature weight spacing^d, ``shape``, and one immutable
+plan per refinement factor (points per axis, the refined scale h^(d/2) and
+the pruned-route scale below), built on first use.  A plan holds no buffer:
+pool threads share one basis, so every call allocates its own arrays, and
+the transforms scale their fresh kernel outputs in place.
+
 Refined grids (``values_on_refined_grid``/``coeffs_from_refined_grid``) zero
 pad to N = factor * M points per axis.  One padded d-axis transform spends
 most of its first passes on lines that are all zero, so where it gives the
@@ -65,6 +72,7 @@ import importlib.util
 import math
 import operator
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +129,14 @@ def _check_factor(factor) -> int:
         raise ValueError(
             f"refinement factor must be a positive integer, got {factor!r}")
     return f
+
+
+class _RefinedPlan(NamedTuple):
+    """Constants of the factor-refined grid of one basis."""
+
+    points: int             # N = factor * M points per axis
+    scale: float            # h^(d/2) of the refined spacing h
+    pruned: float | None    # 2^-k of the pruned route, or None
 
 
 def _aligned(x: np.ndarray) -> np.ndarray:
@@ -196,7 +212,11 @@ class Basis:
                 f"{modes_per_axis}^{dim} modes exceeds the cap {MAX_TOTAL_MODES}")
 
         M = self.modes_per_axis
+        self.shape = (M,) * self.dim
         self.spacing = self._fine_spacing(1)
+        self._scale = self.spacing ** (self.dim / 2.0)
+        self._quad_weight = self.spacing ** self.dim
+        self._plans = {}
         if self.bc == NEUMANN:
             self.axis_modes = np.arange(M)
             self.axis_points = (np.arange(M) + 0.5) * self.spacing
@@ -217,13 +237,10 @@ class Basis:
             lam = lam[..., None] + sq
         self.laplace_eigenvalues = np.ascontiguousarray(lam)
         self.biharmonic_eigenvalues = self.laplace_eigenvalues ** 2
+        self._neg_laplace = -self.laplace_eigenvalues
 
     # ------------------------------------------------------------------
     # basic queries
-
-    @property
-    def shape(self) -> tuple:
-        return (self.modes_per_axis,) * self.dim
 
     @property
     def n_modes(self) -> int:
@@ -318,13 +335,16 @@ class Basis:
         """
         values = _aligned(np.asarray(values, dtype=float))
         self._check_grid_shape(values)
-        return self._forward(values) * self.spacing ** (self.dim / 2.0)
+        out = self._forward(values)
+        out *= self._scale
+        return out
 
     def inverse_transform(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> values on the collocation grid."""
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_grid_shape(coeffs)
-        return self._inverse(coeffs / self.spacing ** (self.dim / 2.0))
+        scaled = coeffs / self._scale
+        return self._inverse(scaled, out=scaled)
 
     def _check_grid_shape(self, arr: np.ndarray) -> None:
         if arr.ndim < self.dim or arr.shape[-self.dim:] != self.shape:
@@ -338,7 +358,7 @@ class Basis:
 
     def laplacian(self, coeffs: np.ndarray) -> np.ndarray:
         """Apply the Laplacian: multiply mode k by -lambda_k."""
-        return np.asarray(coeffs) * (-self.laplace_eigenvalues)
+        return np.asarray(coeffs) * self._neg_laplace
 
     def biharmonic(self, coeffs: np.ndarray) -> np.ndarray:
         """Apply Laplace^2: multiply mode k by +lambda_k^2."""
@@ -376,6 +396,17 @@ class Basis:
             return None
         return math.ldexp(1.0, -(log2 // 2))
 
+    def _plan(self, factor) -> _RefinedPlan:
+        """The plan of a refinement factor, built once per basis and factor."""
+        factor = _check_factor(factor)
+        plan = self._plans.get(factor)
+        if plan is None:
+            plan = self._plans.setdefault(factor, _RefinedPlan(
+                factor * self.modes_per_axis,
+                self._fine_spacing(factor) ** (self.dim / 2.0),
+                self._pruned_scale(factor)))
+        return plan
+
     def values_on_refined_grid(self, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
         """Synthesize the field on a factor-times finer grid (zero padding).
 
@@ -387,23 +418,23 @@ class Basis:
         """
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_grid_shape(coeffs)
-        factor = _check_factor(factor)
-        M = self.modes_per_axis
-        shape = coeffs.shape[:-self.dim] + (factor * M,) * self.dim
+        plan = self._plan(factor)
+        shape = coeffs.shape[:-self.dim] + (plan.points,) * self.dim
         nbytes = math.prod(shape) * coeffs.itemsize
         if nbytes > MAX_REFINED_BYTES:
             raise ValueError(
                 f"a factor-{factor} refined grid of shape {shape} needs {nbytes} "
                 f"bytes, above MAX_REFINED_BYTES = {MAX_REFINED_BYTES}")
-        cur = coeffs / self._fine_spacing(factor) ** (self.dim / 2.0)
-        scale = self._pruned_scale(factor)
-        if scale is None:
+        if plan.pruned is None:
             padded = np.zeros(shape, dtype=float)
-            padded[(...,) + (slice(0, M),) * self.dim] = cur
+            M = self.modes_per_axis
+            np.divide(coeffs, plan.scale,
+                      out=padded[(...,) + (slice(0, M),) * self.dim])
             return self._inverse(padded, out=padded)
-        cur *= scale
+        cur = coeffs / plan.scale
+        cur *= plan.pruned
         for ax in range(-self.dim, 0):
-            cur = self._inverse_axis(cur, factor * M, ax)
+            cur = self._inverse_axis(cur, plan.points, ax)
         return cur
 
     def coeffs_from_refined_grid(self, values: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -413,20 +444,20 @@ class Basis:
         each one-axis pass to the M retained modes before the next.
         """
         values = _aligned(np.asarray(values, dtype=float))
-        factor = _check_factor(factor)
+        plan = self._plan(factor)
         M = self.modes_per_axis
-        if values.shape[-self.dim:] != (factor * M,) * self.dim:
+        if values.shape[-self.dim:] != (plan.points,) * self.dim:
             raise ValueError("refined grid shape mismatch")
-        h = self._fine_spacing(factor)
-        scale = self._pruned_scale(factor)
-        if scale is None:
+        if plan.pruned is None:
             full = self._forward(values)[(...,) + (slice(0, M),) * self.dim]
-            return full * h ** (self.dim / 2.0)
+            return full * plan.scale
         cur = values
         for ax in range(-self.dim, 0):
             keep = (..., slice(0, M)) + (slice(None),) * (-ax - 1)
             cur = self._forward_axis(cur, ax)[keep]
-        return (cur * scale) * h ** (self.dim / 2.0)
+        cur = cur * plan.pruned
+        cur *= plan.scale
+        return cur
 
     def dealiased_apply(self, fn, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
         """Coefficients of fn(u) for a pointwise fn, evaluated alias-free.
@@ -440,7 +471,7 @@ class Basis:
     # grid functionals
 
     def quad_weight(self) -> float:
-        return self.spacing ** self.dim
+        return self._quad_weight
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values) * self.quad_weight())
@@ -452,7 +483,8 @@ class Basis:
             return float(v.max())
         if q < 1:
             raise ValueError(f"q must be >= 1 or inf, got {q}")
-        return float((np.sum(v**q) * self.quad_weight()) ** (1.0 / q))
+        v **= q
+        return float((v.sum() * self._quad_weight) ** (1.0 / q))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Basis(bc={self.bc!r}, dim={self.dim}, modes_per_axis={self.modes_per_axis})"

@@ -316,6 +316,15 @@ def _sha256(path) -> str:
 # commands
 
 
+def _count_option(config, name, default):
+    """options[name], or default when absent; a positive JSON integer."""
+    value = config.options.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(
+            f"options.{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _build_problem(config, basis):
     """(model, solver, kernel, noise backend) of a command that runs paths."""
     model = config.build_model()
@@ -399,8 +408,8 @@ def _cmd_green(config, basis, outdir, h, threads):
 
 
 def _cmd_simulate(config, basis, outdir, h, threads):
+    n_paths = _count_option(config, "paths", 1)
     model, solver, _, backend = _build_problem(config, basis)
-    n_paths = int(config.options.get("paths", 1))
     u0 = config.initial_state(basis)
     trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
     diags = _map_paths(
@@ -450,8 +459,8 @@ def _cmd_picard(config, basis, outdir, h, threads):
 
 
 def _cmd_regularity(config, basis, outdir, h, threads):
+    n_paths = _count_option(config, "paths", 50)
     model, solver, _, backend = _build_problem(config, basis)
-    n_paths = int(config.options.get("paths", 50))
     trajs = _run_paths(model, solver, basis, backend, n_paths,
                        config.initial_state(basis))
     ensemble = Ensemble(basis, trajs)
@@ -486,11 +495,11 @@ def _cmd_regularity(config, basis, outdir, h, threads):
 
 
 def _cmd_malliavin(config, basis, outdir, h, threads):
+    n_paths = _count_option(config, "paths", 1)
+    thin = _count_option(config, "thin", 1)
     model, solver, f, backend = _build_problem(config, basis)
     if backend is None:
         raise ConfigError("malliavin needs a covariance block")
-    n_paths = int(config.options.get("paths", 1))
-    thin = int(config.options.get("thin", 1))
     nu = float(config.options.get("nu", 1.0 / 32.0))
     d = basis.dim
     points = config.options.get("points") or [

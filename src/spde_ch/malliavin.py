@@ -155,7 +155,7 @@ def _model_derivatives(model: ModelSpec, jacobians):
 # tangent propagation
 
 
-@dataclass
+@dataclass(eq=False)
 class TangentState:
     """First variation of a trajectory w.r.t. each noise coordinate.
 
@@ -255,6 +255,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     cols = _direction_matrix(backend)
     update, noise_w = _scheme_update(basis, dt, config.scheme)
     lam2 = basis.biharmonic_eigenvalues
+    neg_lam = -basis.laplace_eigenvalues
     grid = basis.grid()
     col_vals = None if scalar_sigma else basis.inverse_transform(cols)
 
@@ -292,6 +293,9 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 
             fields = D[:active_rows].reshape((-1,) + basis.shape)
             for lo in range(0, len(fields), per_slice):
+                # The drift sums its terms left to right, starting from
+                # 0.0 when there is no reaction term; each step below keeps
+                # those operations, and their order, in place.
                 block = fields[lo:lo + per_slice]
                 drift = 0.0
                 if u_ref is not None:
@@ -299,34 +303,46 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                 if u_vals is not None:
                     T_vals = basis.inverse_transform(block)
                 if reaction_ref is not None:
-                    prod = basis.coeffs_from_refined_grid(reaction_ref * T_ref)
-                    drift = K_m * basis.laplacian(prod)
+                    # the drift terms below still read T_ref
+                    prod = np.multiply(T_ref, reaction_ref,
+                                       out=None if drift_refs else T_ref)
+                    drift = basis.coeffs_from_refined_grid(prod)
+                    drift *= neg_lam
+                    drift *= K_m
                 if g_vals is not None:
-                    drift = drift + K_m * basis.transform(g_vals * T_vals)
+                    term = basis.transform(g_vals * T_vals)
+                    term *= K_m
+                    term += drift
+                    drift = term
                 for (orders, _), b_ref in zip(model.drifts, drift_refs):
-                    drift = drift + basis.derivative(
+                    term = basis.derivative(
                         basis.coeffs_from_refined_grid(b_ref * T_ref), orders)
-                new = update(block, drift)
+                    term += drift
+                    drift = term
+                update(block, drift, out=block)
                 if sp_vals is not None:
-                    new = new + noise_w * basis.transform(
-                        sp_vals * T_vals * dW_vals)
-                block[...] = new
+                    T_vals *= sp_vals
+                    T_vals *= dW_vals
+                    term = basis.transform(T_vals)
+                    term *= noise_w
+                    block += term
 
         row = row_of.get(m)
         if row is not None:
             if scalar_sigma:
-                init = noise_w * (sigma0 * cols)
+                init = np.multiply(sigma0, cols, out=D[row])
             else:
                 sig_vals = np.asarray(
                     model.sigma(t, grid, basis.inverse_transform(u_m)), dtype=float)
-                init = noise_w * basis.transform(
+                init = basis.transform(
                     np.broadcast_to(sig_vals, basis.shape) * col_vals)
-            D[row] = init
+            np.multiply(init, noise_w, out=D[row])
             age = t0 - traj.times[m + 1]
             if config.scheme == EXPONENTIAL_EULER:
-                leads[row] = np.exp(-lam2 * age) * init
+                np.multiply(np.exp(-lam2 * age), D[row], out=leads[row])
             else:
-                leads[row] = init / (1.0 + lam2 * dt) ** round(age / dt)
+                np.divide(D[row], (1.0 + lam2 * dt) ** round(age / dt),
+                          out=leads[row])
             active_rows = row + 1
 
     return TangentState(basis=basis, r_indices=r_indices, r_times=r_times,
@@ -338,7 +354,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 # Malliavin matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class MalliavinMatrix:
     """Gram matrix of the tangents at the evaluation points."""
 
@@ -398,7 +414,7 @@ def thinning_check(traj, model, config, basis, backend, points, t0=None,
 # lower-bound decomposition
 
 
-@dataclass
+@dataclass(eq=False)
 class DecompositionTerms:
     """The four pieces of the quadratic-form lower bound on [t0-tau, t0].
 
@@ -536,7 +552,7 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
 # density criterion
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityReport:
     """Verdict on absolute continuity of the point marginals."""
 

@@ -50,8 +50,10 @@ class NoiseStream:
 
     Every draw reuses one Philox bit generator: its counter is set to
     [0, 0, step, path] with the buffer cleared, the state that a fresh
-    ``Philox(key=seed, counter=[0, 0, step, path])`` starts in.  A lock keeps
-    the reset and the draw together when threads share the stream.
+    ``Philox(key=seed, counter=[0, 0, step, path])`` starts in.  The saved
+    start state is that of the first draw; each draw writes (step, path)
+    into its counter array and loads it.  A lock keeps the reset and the
+    draw together when threads share the stream.
     """
 
     def __init__(self, seed: int):
@@ -63,16 +65,16 @@ class NoiseStream:
     def gaussians(self, step: int, path: int, n: int) -> np.ndarray:
         if step < 0 or path < 0:
             raise ValueError("step and path must be non-negative")
-        counter = [0, 0, int(step), int(path)]
         with self._lock:
             if self._generator is None:
                 # built on the first draw, so a bad seed fails there, as a
                 # fresh Philox per draw did
-                bitgen = np.random.Philox(key=self.seed, counter=counter)
+                bitgen = np.random.Philox(
+                    key=self.seed, counter=[0, 0, int(step), int(path)])
                 self._generator = np.random.Generator(bitgen)
                 self._state = bitgen.state
             else:
-                self._state["state"]["counter"] = np.array(counter, np.uint64)
+                self._state["state"]["counter"][2:] = (step, path)
                 self._generator.bit_generator.state = self._state
             return self._generator.standard_normal(n)
 

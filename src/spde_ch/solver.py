@@ -23,6 +23,7 @@ L^q -> L^rho smoothing estimate.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ def truncation_weight(r, n):
     """
     if n < 1:
         raise ValueError(f"cutoff level must be >= 1, got {n}")
+    if isinstance(r, (int, float)) and r <= n:
+        return 1.0
     r = np.asarray(r, dtype=float)
     s = np.clip(r - n, 0.0, 1.0)
     out = 1.0 - 3.0 * s**2 + 2.0 * s**3
@@ -186,7 +189,7 @@ class SolverConfig:
         self.n_steps = int(n)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Recorded output of one simulate() run (coefficient space).
 
@@ -215,34 +218,70 @@ class Trajectory:
         return self.coeffs[idx]
 
 
+#: basis -> {dt: (decay, phi1, noise_w)}, dropped with the basis
+_PROPAGATORS = weakref.WeakKeyDictionary()
+
+
 def _propagators(basis: Basis, dt: float):
-    """Per-mode weights of one step: decay, phi_1(-lambda^2 dt), noise scale."""
-    z = basis.biharmonic_eigenvalues * dt
-    decay = np.exp(-z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = np.where(z > 0, -np.expm1(-z) / np.where(z > 0, z, 1.0), 1.0)
-        noise_w = np.where(z > 0, np.sqrt(-np.expm1(-2 * z) / np.where(z > 0, 2 * z, 1.0)), 1.0)
-    return decay, phi1, noise_w
+    """Per-mode weights of one step: decay, phi_1(-lambda^2 dt), noise scale.
+
+    Computed once per (basis, dt) and returned read-only, so that no
+    in-place update can corrupt the memoised arrays.
+    """
+    per_basis = _PROPAGATORS.setdefault(basis, {})
+    weights = per_basis.get(dt)
+    if weights is None:
+        z = basis.biharmonic_eigenvalues * dt
+        decay = np.exp(-z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi1 = np.where(z > 0, -np.expm1(-z) / np.where(z > 0, z, 1.0), 1.0)
+            noise_w = np.where(z > 0, np.sqrt(-np.expm1(-2 * z) / np.where(z > 0, 2 * z, 1.0)), 1.0)
+        for arr in (decay, phi1, noise_w):
+            arr.flags.writeable = False
+        weights = per_basis.setdefault(dt, (decay, phi1, noise_w))
+    return weights
 
 
 def _scheme_update(basis: Basis, dt: float, scheme: str = EXPONENTIAL_EULER):
-    """The scheme's update (u, drift) -> next state before noise, and noise_w.
+    """The scheme's update (u, drift, out=None) -> next state before noise,
+    and noise_w.
 
-    The update also acts on stacked states (..., M..M).
+    This is the one place where either scheme is written.  The update
+    also acts on stacked states (..., M..M).  Without out it returns a new
+    array; with out it writes the state there and returns out, which may
+    be u itself (u is read before out is written).  drift is only read, so
+    a caller may pass an array it reuses.
     """
     decay, phi1, noise_w = _propagators(basis, dt)
     if scheme == EXPONENTIAL_EULER:
         dt_phi1 = dt * phi1     # dt * phi1 * drift evaluates as (dt * phi1) * drift
-        return (lambda u, drift: decay * u + dt_phi1 * drift), noise_w
-    denominator = 1.0 + basis.biharmonic_eigenvalues * dt
-    return (lambda u, drift: (u + dt * drift) / denominator), noise_w
+
+        def update(u, drift, out=None):
+            out = np.multiply(decay, u, out=out)
+            out += dt_phi1 * drift
+            return out
+    else:
+        denominator = 1.0 + basis.biharmonic_eigenvalues * dt
+
+        def update(u, drift, out=None):
+            out = np.add(u, dt * drift, out=out)
+            out /= denominator
+            return out
+    return update, noise_w
 
 
 def _reaction_fn(coeffs_tuple):
     r3, r2, r1, r0 = coeffs_tuple
 
     def R(u):
-        return ((r3 * u + r2) * u + r1) * u + r0
+        # ((r3 u + r2) u + r1) u + r0, in place on one new array
+        out = r3 * u
+        out += r2
+        out *= u
+        out += r1
+        out *= u
+        out += r0
+        return out
 
     return R
 
@@ -255,7 +294,7 @@ def _nonlinearity(model: ModelSpec, basis: Basis, t: float, coeffs: np.ndarray,
     if truncation is not None:
         weight = truncation_weight(norm, truncation)
 
-    tamed = np.zeros_like(coeffs)
+    tamed = np.zeros(coeffs.shape)
     if model.reaction is not None:
         r_hat = basis.dealiased_apply(_reaction_fn(model.reaction), coeffs)
         tamed += basis.laplacian(r_hat)
@@ -263,11 +302,11 @@ def _nonlinearity(model: ModelSpec, basis: Basis, t: float, coeffs: np.ndarray,
         g_vals = np.asarray(model.forcing(t, basis.grid(), grid_values), dtype=float)
         tamed += basis.transform(np.broadcast_to(g_vals, grid_values.shape))
 
-    out = weight * tamed
+    tamed *= weight
     for orders, fn in model.drifts:
         b_hat = basis.dealiased_apply(fn, coeffs)
-        out += basis.derivative(b_hat, orders)
-    return out, weight, norm
+        tamed += basis.derivative(b_hat, orders)
+    return tamed, weight, norm
 
 
 def _noise_term(model: ModelSpec, basis: Basis, t: float, grid_values: np.ndarray,
@@ -281,21 +320,24 @@ def _noise_term(model: ModelSpec, basis: Basis, t: float, grid_values: np.ndarra
 
 
 def _stepper(model: ModelSpec, config: SolverConfig, basis: Basis):
-    """One step (u, t, increment, frozen) -> (new u, cutoff weight, norm).
+    """One step (u, t, increment, frozen, out) -> (new u, cutoff weight, norm).
 
     The drift and the noise amplitude are evaluated at frozen, which is u
-    itself except in the Picard iteration; norm is its ||.||_q.
+    itself except in the Picard iteration; norm is its ||.||_q.  The new
+    state is written to out when given (out may be u), else to a new array.
     """
     update, noise_w = _scheme_update(basis, config.dt, config.scheme)
 
-    def advance(u, t, increment=None, frozen=None):
+    def advance(u, t, increment=None, frozen=None, out=None):
         v = u if frozen is None else frozen
         v_grid = basis.inverse_transform(v)
         drift_hat, weight, norm = _nonlinearity(model, basis, t, v, v_grid,
                                                 config.q, config.truncation)
-        new = update(u, drift_hat)
+        new = update(u, drift_hat, out=out)
         if increment is not None:
-            new = new + noise_w * _noise_term(model, basis, t, v_grid, increment)
+            noise = _noise_term(model, basis, t, v_grid, increment)
+            noise *= noise_w
+            new += noise
         return new, weight, norm
 
     return advance
@@ -332,7 +374,7 @@ def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
         raise BlowUpError(f"non-finite state entering step at t={t}", time=t)
     if not model.has_noise:
         increment = None
-    return _stepper(model, config, basis)(coeffs, t, increment)
+    return _stepper(model, config, basis)(coeffs, t, increment, out=coeffs)
 
 
 def _gate_admissibility(covariance, basis, force):
@@ -374,11 +416,11 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
     for j in range(config.n_steps):
         inc = (backend.sample_coefficients(config.dt, step=j, path=path)
                if model.has_noise else None)
-        u, weight, _ = advance(u, j * config.dt, inc)
+        u, weight, _ = advance(u, j * config.dt, inc, out=u)
         weights.append(weight)
         t_new = (j + 1) * config.dt
 
-        finite = bool(np.all(np.isfinite(u)))
+        finite = bool(np.isfinite(u).all())
         norm = basis.lq_norm(basis.inverse_transform(u), config.q) if finite else math.inf
         if (j + 1) % config.store_every == 0 or j + 1 == config.n_steps or not finite:
             times.append(t_new)
@@ -399,7 +441,7 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
                       stop_time=stop_time, exploded=exploded, path=path)
 
 
-@dataclass
+@dataclass(eq=False)
 class PicardResult:
     """Fixed-point iteration record: final iterate plus contraction data."""
 
@@ -440,11 +482,9 @@ def picard_solve(model: ModelSpec, config: SolverConfig, basis: Basis,
         iterations = m + 1
         new = np.empty_like(frozen)
         new[0] = u0
-        u = u0.copy()
         for j in range(n_steps):
-            u, weights_last[j], _ = advance(u, j * config.dt, incs[j],
-                                            frozen=frozen[j])
-            new[j + 1] = u
+            _, weights_last[j], _ = advance(new[j], j * config.dt, incs[j],
+                                            frozen=frozen[j], out=new[j + 1])
         diff = 0.0
         for j in range(n_steps + 1):
             d = basis.lq_norm(basis.inverse_transform(new[j] - frozen[j]), config.q)
@@ -522,7 +562,7 @@ def deterministic_convolution(basis: Basis, v, kernel="G", t0=0.0, t=1.0,
             hat = basis.laplacian(hat)
         elif orders is not None:
             hat = basis.derivative(hat, orders)
-        out = update(out, hat)
+        update(out, hat, out=out)
     return out
 
 

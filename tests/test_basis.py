@@ -345,6 +345,36 @@ def test_refined_grid_factor_must_be_a_positive_integer(factor):
     assert b.values_on_refined_grid(np.zeros(b.shape), np.int64(3)).shape == (12, 12)
 
 
+def test_refinement_plans_are_built_once_and_immutable():
+    b = Basis(NEUMANN, 3, 4)
+    plan = b._plan(2)
+    assert b._plan(2) is plan and b._plan(np.int64(2)) is plan
+    assert plan == (8, b._fine_spacing(2) ** 1.5, b._pruned_scale(2))
+    with pytest.raises(AttributeError):
+        plan.scale = 1.0
+    with pytest.raises(ValueError, match="factor"):
+        b._plan(2.0)
+    assert set(b._plans) == {2}
+
+
+@pytest.mark.parametrize("d, M", [(2, 4), (3, 4)])
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+def test_transforms_leave_their_inputs_untouched(bc, d, M):
+    # the transforms scale their own outputs in place, never the input
+    b = Basis(bc, d, M)
+    rng = np.random.default_rng(d)
+    coeffs = rng.standard_normal((2,) + b.shape)
+    fine = rng.standard_normal((2,) + (2 * M,) * d)
+    kept = coeffs.tobytes(), fine.tobytes()
+    b.transform(coeffs)
+    b.inverse_transform(coeffs)
+    b.values_on_refined_grid(coeffs)
+    b.coeffs_from_refined_grid(fine)
+    b.dealiased_apply(lambda v: v**3, coeffs)
+    b.lq_norm(coeffs, 3.0)
+    assert (coeffs.tobytes(), fine.tobytes()) == kept
+
+
 # ----------------------------------------------------------------------
 # the kernel calls are bitwise the public scipy.fft calls
 

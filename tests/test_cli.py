@@ -395,6 +395,35 @@ class TestCommands:
         assert calls == {"cli": 1, "solver": 0}
 
 
+class TestCountOptions:
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "2", True])
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", "paths"), ("regularity", "paths"),
+        ("malliavin", "paths"), ("malliavin", "thin")])
+    def test_only_positive_integers_run(self, tmp_path, monkeypatch, command,
+                                        option, value):
+        started = []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *args, **kwargs: started.append(args))
+        data = base_config(tmp_path, command=command)
+        data["options"][option] = value
+        for force in (False, True):
+            with pytest.raises(ConfigError, match=rf"options\.{option}.*{value!r}"):
+                run(RunConfig.from_dict(data), force=force)
+        assert started == []
+
+    def test_main_reports_the_option_even_with_force(self, tmp_path, capsys):
+        data = base_config(tmp_path)
+        data["options"]["paths"] = 0
+        path = write_config(tmp_path, data)
+        assert main(["simulate", "--config", path, "--force"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigError"
+        assert "options.paths" in error["message"]
+        assert not os.path.exists(tmp_path / "out" / "paths.csv")
+
+
 class TestReproducibility:
 
     @pytest.mark.parametrize("command", ["simulate", "regularity",

@@ -1,8 +1,10 @@
 """Tangent propagation, Malliavin matrices and the density criterion."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -526,3 +528,18 @@ class TestDensityCriterion:
             density_criterion([], f, nu=1 / 32)
         rep = density_criterion(np.eye(2), f, nu=1 / 32, sigma_floor=0.1)
         assert any("ellipticity" in n for n in rep.notes)
+
+
+def test_result_records_compared_by_identity_and_held_by_weak_sets(
+        additive_run):
+    basis, backend, model, config, traj, tang = additive_run
+    pts = np.array([[1.0], [2.0]])
+    mm = malliavin_matrix(tang, pts)
+    records = (tang, mm,
+               decomposition_terms(traj, model, basis, backend.gram, pts,
+                                   tau=0.02, tangent=tang),
+               density_criterion(mm, CovarianceSpec.white(1), nu=1 / 32))
+    for record in records:
+        twin = dataclasses.replace(record)
+        assert record == record and not record == twin
+        assert len(weakref.WeakSet([record, twin])) == 2

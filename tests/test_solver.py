@@ -1,6 +1,10 @@
 """Tests for the spectral time stepper and its convolution helpers."""
 
+import dataclasses
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from spde_ch.noise import make_backend
 from spde_ch.solver import (
     BLOWUP_THRESHOLD,
     BlowUpError,
+    EXPONENTIAL_EULER,
     ModelSpec,
+    PicardResult,
     SEMI_IMPLICIT,
     SolverConfig,
     Trajectory,
@@ -88,6 +94,103 @@ class TestTruncationWeight:
         lo, hi = sorted((a, b))
         ka, kb = truncation_weight(lo, 4), truncation_weight(hi, 4)
         assert 0.0 <= kb <= ka <= 1.0
+
+
+class TestSchemeUpdate:
+    def test_propagators_are_memoised_and_read_only(self):
+        basis = Basis(DIRICHLET, 2, 6)
+        first = _propagators(basis, 1e-3)
+        assert all(a is b for a, b in zip(first, _propagators(basis, 1e-3)))
+        assert _propagators(basis, 2e-3)[0] is not first[0]
+        assert _propagators(Basis(DIRICHLET, 2, 6), 1e-3)[0] is not first[0]
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+    def test_pool_threads_share_one_memoised_copy(self):
+        # threads of the CLI pool share one basis; a lost update would hand
+        # two threads different arrays or plans for the same key
+        basis = Basis(NEUMANN, 2, 6)
+        dts = [1e-3 * (k + 1) for k in range(8)]
+        seen = [[] for _ in range(6)]
+
+        def work(records):
+            for _ in range(20):
+                records += [(dt, _propagators(basis, dt)[1]) for dt in dts]
+                records += [(f, basis._plan(f)) for f in (2, 3, 4)]
+
+        threads = [threading.Thread(target=work, args=(records,))
+                   for records in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        first = {}
+        for records in seen:
+            assert len(records) == 20 * (len(dts) + 3)
+            for key, obj in records:
+                assert first.setdefault((type(obj), key), obj) is obj
+
+    def test_memo_does_not_keep_the_basis_alive(self):
+        basis = Basis(NEUMANN, 1, 8)
+        _propagators(basis, 1e-3)
+        ref = weakref.ref(basis)
+        del basis
+        assert ref() is None
+
+    @pytest.mark.parametrize("scheme", [EXPONENTIAL_EULER, SEMI_IMPLICIT])
+    def test_out_form_is_bitwise_and_never_writes_the_drift(self, scheme):
+        basis = Basis(NEUMANN, 2, 8)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((3,) + basis.shape)
+        drift = rng.standard_normal((3,) + basis.shape) * 1e3
+        kept_u, kept_drift = u.tobytes(), drift.tobytes()
+        update, _ = _scheme_update(basis, 3e-3, scheme)
+        want = update(u, drift)
+        assert u.tobytes() == kept_u
+        out = np.empty_like(u)
+        assert update(u, drift, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert update(u, drift, out=u) is u
+        assert u.tobytes() == want.tobytes()
+        assert drift.tobytes() == kept_drift
+
+    def test_entry_points_leave_caller_arrays_untouched(self):
+        basis = neumann_basis(8)
+        backend = make_backend(CovarianceSpec.white(1), basis, seed=2)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=lambda t, x, u: 0.2 + 0.1 * u)
+        cfg = SolverConfig(dt=1e-3, t_final=0.005)
+        u0 = low_mode_state(basis)
+        inc = backend.sample_coefficients(cfg.dt, step=0)
+        field = basis.inverse_transform(u0)
+        kept = u0.tobytes(), inc.tobytes(), field.tobytes()
+        simulate(model, cfg, basis, backend=backend, u0=u0)
+        step(u0, 0.0, model, cfg, basis, increment=inc)
+        picard_solve(model, cfg, basis, backend=backend, u0=u0)
+        deterministic_convolution(basis, field, t=0.1, n_steps=4)
+        assert (u0.tobytes(), inc.tobytes(), field.tobytes()) == kept
+
+
+class TestResultRecords:
+    def test_compared_by_identity_and_held_by_weak_sets(self):
+        basis = neumann_basis(8)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0))
+        cfg = SolverConfig(dt=1e-3, t_final=0.003)
+        traj = simulate(model, cfg, basis, u0=low_mode_state(basis))
+        result = picard_solve(model, cfg, basis, u0=low_mode_state(basis))
+        for record in (traj, result):
+            twin = dataclasses.replace(record)
+            assert record == record and not record == twin
+            assert len(weakref.WeakSet([record, twin])) == 2
+        assert isinstance(result, PicardResult)
 
 
 class TestStepBasics:
