@@ -42,11 +42,10 @@ measured slower than one.  The kernel is loaded from its file in scipy's
 costs more than a short run, is never imported.
 
 Each basis computes its constants once: the coefficient scale
-spacing^(d/2), the quadrature weight spacing^d, ``shape``, and one immutable
-plan per refinement factor (points per axis, the refined scale h^(d/2) and
-the pruned-route scale below), built on first use.  A plan holds no buffer:
-pool threads share one basis, so every call allocates its own arrays, and
-the transforms scale their fresh kernel outputs in place.
+spacing^(d/2), the quadrature weight spacing^d and ``shape``.  A basis holds
+no buffer: pool threads share one basis, so every call allocates its own
+arrays, and the transforms scale their fresh kernel outputs in place.  The
+refined synthesis divides the coefficients straight into its padded buffer.
 
 Refined grids (``values_on_refined_grid``/``coeffs_from_refined_grid``) zero
 pad to N = factor * M points per axis.  One padded d-axis transform spends
@@ -72,7 +71,6 @@ import importlib.util
 import math
 import operator
 import os
-from typing import NamedTuple
 
 import numpy as np
 
@@ -129,14 +127,6 @@ def _check_factor(factor) -> int:
         raise ValueError(
             f"refinement factor must be a positive integer, got {factor!r}")
     return f
-
-
-class _RefinedPlan(NamedTuple):
-    """Constants of the factor-refined grid of one basis."""
-
-    points: int             # N = factor * M points per axis
-    scale: float            # h^(d/2) of the refined spacing h
-    pruned: float | None    # 2^-k of the pruned route, or None
 
 
 def _aligned(x: np.ndarray) -> np.ndarray:
@@ -216,7 +206,6 @@ class Basis:
         self.spacing = self._fine_spacing(1)
         self._scale = self.spacing ** (self.dim / 2.0)
         self._quad_weight = self.spacing ** self.dim
-        self._plans = {}
         if self.bc == NEUMANN:
             self.axis_modes = np.arange(M)
             self.axis_points = (np.arange(M) + 0.5) * self.spacing
@@ -396,17 +385,6 @@ class Basis:
             return None
         return math.ldexp(1.0, -(log2 // 2))
 
-    def _plan(self, factor) -> _RefinedPlan:
-        """The plan of a refinement factor, built once per basis and factor."""
-        factor = _check_factor(factor)
-        plan = self._plans.get(factor)
-        if plan is None:
-            plan = self._plans.setdefault(factor, _RefinedPlan(
-                factor * self.modes_per_axis,
-                self._fine_spacing(factor) ** (self.dim / 2.0),
-                self._pruned_scale(factor)))
-        return plan
-
     def values_on_refined_grid(self, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
         """Synthesize the field on a factor-times finer grid (zero padding).
 
@@ -418,23 +396,25 @@ class Basis:
         """
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_grid_shape(coeffs)
-        plan = self._plan(factor)
-        shape = coeffs.shape[:-self.dim] + (plan.points,) * self.dim
+        factor = _check_factor(factor)
+        M = self.modes_per_axis
+        shape = coeffs.shape[:-self.dim] + (factor * M,) * self.dim
         nbytes = math.prod(shape) * coeffs.itemsize
         if nbytes > MAX_REFINED_BYTES:
             raise ValueError(
                 f"a factor-{factor} refined grid of shape {shape} needs {nbytes} "
                 f"bytes, above MAX_REFINED_BYTES = {MAX_REFINED_BYTES}")
-        if plan.pruned is None:
+        h_scale = self._fine_spacing(factor) ** (self.dim / 2.0)
+        scale = self._pruned_scale(factor)
+        if scale is None:
             padded = np.zeros(shape, dtype=float)
-            M = self.modes_per_axis
-            np.divide(coeffs, plan.scale,
+            np.divide(coeffs, h_scale,
                       out=padded[(...,) + (slice(0, M),) * self.dim])
             return self._inverse(padded, out=padded)
-        cur = coeffs / plan.scale
-        cur *= plan.pruned
+        cur = coeffs / h_scale
+        cur *= scale
         for ax in range(-self.dim, 0):
-            cur = self._inverse_axis(cur, plan.points, ax)
+            cur = self._inverse_axis(cur, factor * M, ax)
         return cur
 
     def coeffs_from_refined_grid(self, values: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -444,19 +424,21 @@ class Basis:
         each one-axis pass to the M retained modes before the next.
         """
         values = _aligned(np.asarray(values, dtype=float))
-        plan = self._plan(factor)
+        factor = _check_factor(factor)
         M = self.modes_per_axis
-        if values.shape[-self.dim:] != (plan.points,) * self.dim:
+        if values.shape[-self.dim:] != (factor * M,) * self.dim:
             raise ValueError("refined grid shape mismatch")
-        if plan.pruned is None:
+        h = self._fine_spacing(factor)
+        scale = self._pruned_scale(factor)
+        if scale is None:
             full = self._forward(values)[(...,) + (slice(0, M),) * self.dim]
-            return full * plan.scale
+            return full * h ** (self.dim / 2.0)
         cur = values
         for ax in range(-self.dim, 0):
             keep = (..., slice(0, M)) + (slice(None),) * (-ax - 1)
             cur = self._forward_axis(cur, ax)[keep]
-        cur = cur * plan.pruned
-        cur *= plan.scale
+        cur = cur * scale
+        cur *= h ** (self.dim / 2.0)
         return cur
 
     def dealiased_apply(self, fn, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:

@@ -255,7 +255,6 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     cols = _direction_matrix(backend)
     update, noise_w = _scheme_update(basis, dt, config.scheme)
     lam2 = basis.biharmonic_eigenvalues
-    neg_lam = -basis.laplace_eigenvalues
     grid = basis.grid()
     col_vals = None if scalar_sigma else basis.inverse_transform(cols)
 
@@ -307,7 +306,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                     prod = np.multiply(T_ref, reaction_ref,
                                        out=None if drift_refs else T_ref)
                     drift = basis.coeffs_from_refined_grid(prod)
-                    drift *= neg_lam
+                    drift *= basis._neg_laplace
                     drift *= K_m
                 if g_vals is not None:
                     term = basis.transform(g_vals * T_vals)

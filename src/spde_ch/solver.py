@@ -23,7 +23,6 @@ L^q -> L^rho smoothing estimate.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,28 +217,14 @@ class Trajectory:
         return self.coeffs[idx]
 
 
-#: basis -> {dt: (decay, phi1, noise_w)}, dropped with the basis
-_PROPAGATORS = weakref.WeakKeyDictionary()
-
-
 def _propagators(basis: Basis, dt: float):
-    """Per-mode weights of one step: decay, phi_1(-lambda^2 dt), noise scale.
-
-    Computed once per (basis, dt) and returned read-only, so that no
-    in-place update can corrupt the memoised arrays.
-    """
-    per_basis = _PROPAGATORS.setdefault(basis, {})
-    weights = per_basis.get(dt)
-    if weights is None:
-        z = basis.biharmonic_eigenvalues * dt
-        decay = np.exp(-z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi1 = np.where(z > 0, -np.expm1(-z) / np.where(z > 0, z, 1.0), 1.0)
-            noise_w = np.where(z > 0, np.sqrt(-np.expm1(-2 * z) / np.where(z > 0, 2 * z, 1.0)), 1.0)
-        for arr in (decay, phi1, noise_w):
-            arr.flags.writeable = False
-        weights = per_basis.setdefault(dt, (decay, phi1, noise_w))
-    return weights
+    """Per-mode weights of one step: decay, phi_1(-lambda^2 dt), noise scale."""
+    z = basis.biharmonic_eigenvalues * dt
+    decay = np.exp(-z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi1 = np.where(z > 0, -np.expm1(-z) / np.where(z > 0, z, 1.0), 1.0)
+        noise_w = np.where(z > 0, np.sqrt(-np.expm1(-2 * z) / np.where(z > 0, 2 * z, 1.0)), 1.0)
+    return decay, phi1, noise_w
 
 
 def _scheme_update(basis: Basis, dt: float, scheme: str = EXPONENTIAL_EULER):

@@ -345,18 +345,6 @@ def test_refined_grid_factor_must_be_a_positive_integer(factor):
     assert b.values_on_refined_grid(np.zeros(b.shape), np.int64(3)).shape == (12, 12)
 
 
-def test_refinement_plans_are_built_once_and_immutable():
-    b = Basis(NEUMANN, 3, 4)
-    plan = b._plan(2)
-    assert b._plan(2) is plan and b._plan(np.int64(2)) is plan
-    assert plan == (8, b._fine_spacing(2) ** 1.5, b._pruned_scale(2))
-    with pytest.raises(AttributeError):
-        plan.scale = 1.0
-    with pytest.raises(ValueError, match="factor"):
-        b._plan(2.0)
-    assert set(b._plans) == {2}
-
-
 @pytest.mark.parametrize("d, M", [(2, 4), (3, 4)])
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
 def test_transforms_leave_their_inputs_untouched(bc, d, M):

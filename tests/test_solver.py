@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -97,54 +95,6 @@ class TestTruncationWeight:
 
 
 class TestSchemeUpdate:
-    def test_propagators_are_memoised_and_read_only(self):
-        basis = Basis(DIRICHLET, 2, 6)
-        first = _propagators(basis, 1e-3)
-        assert all(a is b for a, b in zip(first, _propagators(basis, 1e-3)))
-        assert _propagators(basis, 2e-3)[0] is not first[0]
-        assert _propagators(Basis(DIRICHLET, 2, 6), 1e-3)[0] is not first[0]
-        for arr in first:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr *= 2.0
-
-    def test_pool_threads_share_one_memoised_copy(self):
-        # threads of the CLI pool share one basis; a lost update would hand
-        # two threads different arrays or plans for the same key
-        basis = Basis(NEUMANN, 2, 6)
-        dts = [1e-3 * (k + 1) for k in range(8)]
-        seen = [[] for _ in range(6)]
-
-        def work(records):
-            for _ in range(20):
-                records += [(dt, _propagators(basis, dt)[1]) for dt in dts]
-                records += [(f, basis._plan(f)) for f in (2, 3, 4)]
-
-        threads = [threading.Thread(target=work, args=(records,))
-                   for records in seen]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        first = {}
-        for records in seen:
-            assert len(records) == 20 * (len(dts) + 3)
-            for key, obj in records:
-                assert first.setdefault((type(obj), key), obj) is obj
-
-    def test_memo_does_not_keep_the_basis_alive(self):
-        basis = Basis(NEUMANN, 1, 8)
-        _propagators(basis, 1e-3)
-        ref = weakref.ref(basis)
-        del basis
-        assert ref() is None
-
     @pytest.mark.parametrize("scheme", [EXPONENTIAL_EULER, SEMI_IMPLICIT])
     def test_out_form_is_bitwise_and_never_writes_the_drift(self, scheme):
         basis = Basis(NEUMANN, 2, 8)
