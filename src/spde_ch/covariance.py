@@ -13,22 +13,26 @@ with an origin singularity,
 
 possibly Gaussian-smoothed at scale t^{gamma/beta}.  This module decides those
 conditions and assembles the noise Gram matrix Q_{kl} = <e_k, e_l>_H used for
-sampling.  Each density kernel is read as a power law f(r) = amp r^{-B} below
-r_cut (``CovarianceSpec._origin_law``): r_cut = inf for Riesz and constant
-kernels, the first sample for a table, fitted to its two innermost samples.
-Every radial quantity is one computation: the power-law head in closed form
-(or by algebraic-weight quadrature, ``_singular_quad``), plus quadrature of
-the table above r_cut when that lies in the range.
+sampling.  Every density kernel is one list of power-law segments
+(``CovarianceSpec.segments``): f(r) = amp r^{-B} on lo <= r < hi.  A Riesz or
+constant kernel is a single segment on (0, inf).  A table's log-log
+interpolant is a power law on each sample interval; the law of the first
+interval also covers (0, r_1), and the last sample continues flat to inf.
+Every radial quantity is one loop over the segments: the segment that
+reaches 0 carries the origin singularity (a closed form, or an algebraic
+endpoint weight in ``_singular_quad``), each further segment has its own
+closed form, or its own quadrature between knots.
 
 For Riesz powers in d >= 2 the Gram matrix uses the exact Gaussian-mixture
 identity |u|^{-B} = Gamma(B/2)^{-1} int_0^inf s^{B/2-1} e^{-s|u|^2} ds, which
 turns Q into a positive combination of Kronecker products of per-axis PSD
 matrices; no dense d-dimensional singular quadrature is ever attempted.
 
-scipy.integrate is imported inside the routes that integrate (table parts,
-the direct d=1 Gram, the variance-kernel integral), so a run that only meets
-Riesz or constant kernels in d >= 2 never loads it; scipy.special is
-imported by the variance-kernel integral alone.
+Radial integrals and the conditions built on them use only ``math``.
+scipy.integrate is imported inside the routes that integrate (the direct d=1
+Gram, the variance-kernel integral's outer time integral), so a run that
+only meets kernels in d >= 2 never loads it; scipy.special is imported by
+the variance-kernel integral alone.
 """
 
 from __future__ import annotations
@@ -70,6 +74,34 @@ def _power_log_primitive(p: float, kappa: int, tau: float) -> float:
             fact *= (kappa - m + 1)
         acc += fact * L ** (kappa - m) / (p + 1.0) ** (m + 1)
     return tau ** (p + 1.0) * acc
+
+
+def _power_log_segment(p: float, kappa: int, a: float, b: float) -> float:
+    """int_a^b rho^p ln(1/rho)^kappa d rho for 0 < a < b <= 1, closed form.
+
+    With q = p + 1, D = ln(b/a) and phi_j(z) = int_0^1 s^j e^{-zs} ds it is
+    b^q sum_j C(kappa, j) ln(1/b)^{kappa-j} D^{j+1} phi_j(qD), a sum of
+    nonnegative terms that, unlike a difference of antiderivatives, does not
+    cancel as qD -> 0.  phi_j(z) is j!/z^{j+1} (1 - e^{-z} e_j(z)) for
+    z >= j + 1, else a series of positive terms (after Kummer's
+    transformation, DLMF 13.2.39, when z > 0).
+    """
+    q, xb, D = p + 1.0, math.log(1.0 / b), math.log(b / a)
+    z, total = q * D, 0.0
+    for j in range(kappa + 1):
+        if z >= j + 1:
+            e_j = sum(z**k / math.factorial(k) for k in range(j + 1))
+            phi = math.factorial(j) / z ** (j + 1) * (1.0 - math.exp(-z) * e_j)
+        else:
+            n, term = 0, 1.0 / (j + 1)
+            phi = term
+            while term > 1e-17 * phi:
+                n += 1
+                term *= z / (j + 1 + n) if z >= 0 else -z * (j + n) / (n * (j + 1 + n))
+                phi += term
+            phi *= math.exp(-max(z, 0.0))
+        total += math.comb(kappa, j) * xb ** (kappa - j) * D ** (j + 1) * phi
+    return b**q * total
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +146,26 @@ class CovarianceSpec:
                 raise ValueError("tabulated kernel values must be positive")
         self.radii = radii
         self.values = values
+        self.segments = self._build_segments()
+
+    def _build_segments(self):
+        """(lo, hi, amp, B) with f(r) = amp r^{-B} on lo <= r < hi, in order.
+
+        A table gives (0, r_1) and [r_i, r_{i+1}) the log-log law through
+        samples i and i + 1 (the first law twice), then [r_n, inf) flat.
+        """
+        if self.kind == self.WHITE:
+            return ()
+        if self.kind != self.TABULATED:
+            amp, B = (1.0, self.B) if self.kind == self.RIESZ else (self.c, 0.0)
+            return ((0.0, math.inf, amp, B),)
+        r, v = self.radii, self.values
+        B = [-math.log(v[i + 1] / v[i]) / math.log(r[i + 1] / r[i])
+             for i in range(r.size - 1)]
+        laws = [(float(v[i] * float(r[i]) ** b), b) for i, b in enumerate(B)]
+        laws = laws[:1] + laws + [(float(v[-1]), 0.0)]
+        edges = [0.0, *map(float, r), math.inf]
+        return tuple((lo, hi, *law) for lo, hi, law in zip(edges, edges[1:], laws))
 
     # constructors ------------------------------------------------------
     @classmethod
@@ -148,45 +200,26 @@ class CovarianceSpec:
         return math.pi * math.sqrt(self.dim)
 
     def fitted_origin_power(self) -> float:
-        """Power-law exponent B-hat fitted to the two innermost samples."""
-        if self.kind == self.RIESZ:
-            return self.B
-        if self.kind == self.CONSTANT:
-            return 0.0
-        if self.kind != self.TABULATED:
+        """Exponent B of the segment that reaches the origin (for a table,
+        the power law through its two innermost samples)."""
+        if not self.segments:
             raise ValueError("no radial density for white noise")
-        r0, r1 = self.radii[0], self.radii[1]
-        f0, f1 = self.values[0], self.values[1]
-        return -math.log(f1 / f0) / math.log(r1 / r0)
-
-    def _origin_law(self):
-        """(amp, B, r_cut) with f(r) = amp * r^{-B} for r < r_cut."""
-        if self.kind == self.RIESZ:
-            return 1.0, self.B, math.inf
-        if self.kind == self.CONSTANT:
-            return self.c, 0.0, math.inf
-        bhat = self.fitted_origin_power()
-        r0 = float(self.radii[0])
-        return self.values[0] * r0**bhat, bhat, r0
+        return self.segments[0][3]
 
     def evaluate_radial(self, r):
-        """f evaluated at radius r (power-law extrapolation below the table)."""
+        """f evaluated at radius r, from the segment that holds r."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("radius must be positive")
         if self.kind == self.WHITE:
             raise ValueError("white noise has no pointwise density")
-        if self.kind != self.TABULATED:
-            amp, B, _ = self._origin_law()
-            return amp * r ** (-B)
-        bhat = self.fitted_origin_power()
+        knots = [seg[0] for seg in self.segments[1:]]
+        index = np.searchsorted(knots, r, side="right")
         out = np.empty_like(r)
-        below = r < self.radii[0]
-        out[below] = self.values[0] * (r[below] / self.radii[0]) ** (-bhat)
-        inside = ~below
-        # log-log linear interpolation, flat continuation past the table
-        out[inside] = np.exp(np.interp(np.log(r[inside]), np.log(self.radii),
-                                       np.log(self.values)))
+        for i in np.unique(index):
+            _, _, amp, B = self.segments[i]
+            inside = index == i
+            out[inside] = amp * r[inside] ** (-B)
         return out if out.ndim else float(out)
 
     def __repr__(self):  # pragma: no cover
@@ -233,25 +266,20 @@ def _radial_integral_any_log(f: CovarianceSpec, e: float, kappa: int,
     S = sphere_area(d)
     if f.kind == CovarianceSpec.WHITE:
         raise ValueError("white noise has no density; radial conditions do not apply")
-    amp, B, r_cut = f._origin_law()
-    if r_cut < r0 and f.radii[-1] < r0:
+    if f.radii is not None and f.radii[-1] < r0:
         raise ValueError(
             f"tabulated samples reach only {f.radii[-1]:.3g} < r0={r0:.3g}")
-    # power-law head in closed form, quadrature of the table above r_cut
-    head = _power_log_primitive(d - 1.0 - B - e, kappa, min(r_cut, r0))
-    if math.isinf(head):
+    # the segment that reaches 0 diverges there when its exponent is <= -1
+    (_, hi, amp, B), *rest = f.segments
+    val = _power_log_primitive(d - 1.0 - B - e, kappa, min(hi, r0))
+    if math.isinf(val):
         return math.inf
-    head *= S * amp
-    if r_cut >= r0:
-        return head
-
-    def integrand(rho):
-        return (f.evaluate_radial(rho) * rho ** (d - 1.0 - e)
-                * math.log(1.0 / rho) ** kappa)
-
-    from scipy.integrate import quad
-    outer, _ = quad(integrand, r_cut, r0, limit=200)
-    return head + S * outer
+    val *= S * amp
+    for lo, hi, amp, B in rest:
+        if lo >= r0:
+            break
+        val += S * amp * _power_log_segment(d - 1.0 - B - e, kappa, lo, min(hi, r0))
+    return val
 
 
 # ----------------------------------------------------------------------
@@ -414,42 +442,89 @@ def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
         raise ValueError("T, c, R must be positive")
     if shift < 0 or not 0 < moment_ratio <= 1:
         raise ValueError("need shift >= 0 and moment_ratio in (0, 1]")
-    if not f.has_density:
-        raise ValueError("white noise has no variance kernel density")
-    from scipy import special as ssp
+    E = variance_kernel_exponent(f, exponents, shift, moment_ratio)
+    # psi(t) = t^E * h(t) with h bounded near 0; quad handles the weight
+    if not f.locally_integrable or E <= -1.0:
+        return math.inf
     from scipy.integrate import quad
+    h = _smoothed_mass(f, exponents.beta, exponents.gamma, c, R)
+    val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
+    return val
+
+
+def _smoothed_mass(f: CovarianceSpec, beta: float, gamma: float, c: float,
+                   R: float):
+    """h with int_{B(0,R)} exp(-c |v|^beta / t^gamma) f(v) dv = t^{gamma nu} h(t).
+
+    nu = (d - B_0)/beta > 0 belongs to the segment that reaches 0.  With
+    x(rho) = c rho^beta / t^gamma, segment i adds amp_i S/beta (t^gamma/c)^nu_i
+    int s^{nu_i - 1} e^{-s} ds over [x(lo_i), x(min(hi_i, R))]: a difference
+    of regularised lower gammas when nu_i >= 1, else ``_gamma_between``.
+    """
+    from scipy import special as ssp
     d, S = f.dim, sphere_area(f.dim)
-    beta, gamma = exponents.beta, exponents.gamma
-    P = exponents.alpha * (moment_ratio - 2.0) - shift
-
-    # the origin exponent drives the singular factor t^E
-    amp, B, r_cut = f._origin_law()
+    (_, hi, amp, B), *rest = f.segments
     nu = (d - B) / beta
-    if nu <= 0:
-        return math.inf
-    E = P + gamma * (d - B) / beta
-    if E <= -1.0:
-        return math.inf
     pref = amp * S * math.gamma(nu) / (beta * c**nu)
+    head_end = min(hi, R)
+    # (nu_i, amp_i S/beta, c lo^beta, c min(hi, R)^beta) of each further segment
+    laws = [((d - B) / beta, amp * S / beta, c * lo**beta, c * min(hi, R) ** beta)
+            for lo, hi, amp, B in rest if lo < R]
 
-    # psi(t) = t^E * h(t) with h bounded near 0; quad handles the weight.
-    # h is the power-law head in closed form plus the table above r_cut.
     def h(t):
         if t <= 0.0:
             return pref
-        val = pref * ssp.gammainc(nu, c * min(r_cut, R) ** beta / t**gamma)
-        if r_cut >= R:
-            return val
+        tg = t**gamma
+        val = pref * ssp.gammainc(nu, c * head_end**beta / tg)
+        scale = t ** (-gamma * nu)
+        for a, coef, x0, x1 in laws:
+            x0, x1 = x0 / tg, x1 / tg
+            mass = (math.gamma(a) * (ssp.gammainc(a, x1) - ssp.gammainc(a, x0))
+                    if a >= 1.0 else _gamma_between(a, x0, x1))
+            val += coef * (tg / c) ** a * mass * scale
+        return val
 
-        def gout(rho):
-            return (f.evaluate_radial(rho) * rho ** (d - 1.0)
-                    * math.exp(-c * rho**beta / t**gamma))
+    return h
 
-        outer, _ = quad(gout, r_cut, R, limit=100)
-        return val + S * outer * t ** (P - E)
 
-    val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
-    return val
+def _gamma_between(a: float, x0: float, x1: float) -> float:
+    """int_{x0}^{x1} s^{a-1} e^{-s} ds for a < 1 and 0 < x0 < x1 <= inf.
+
+    Below x_s = max(1.5, a + 1) the exponential series integrated term by
+    term, sum_k (-1)^k/k! (y^{a+k} - x0^{a+k})/(a+k), each term written as
+    x0^{a+k} W (e^{(a+k)W} - 1)/((a+k)W) with W = ln(y/x0), so that no a + k
+    near 0 is divided by; above x_s, Gamma(a, .) from Legendre's continued
+    fraction (DLMF 8.9.2) by the modified Lentz method.  Neither amplifies
+    rounding as a approaches 0 or a negative integer, as Gamma(a) times a
+    difference of regularised gammas, or the recurrence Gamma(a, x) =
+    (Gamma(a+1, x) - x^a e^{-x})/a, do there.
+    """
+    x_s = max(1.5, a + 1.0)
+    total, y = 0.0, min(x1, x_s)
+    if x0 < y:
+        W, k, term = math.log(y / x0), 0, math.inf
+        while abs(term) > 1e-17 * abs(total):
+            z = (a + k) * W
+            term = (-1) ** k / math.factorial(k) * x0 ** (a + k) * W * (
+                math.expm1(z) / z if z else 1.0)
+            total += term
+            k += 1
+
+    def upper(x):
+        b, c, d = x + 1.0 - a, 1e300, 1.0 / (x + 1.0 - a)
+        h, i, step = d, 0, 0.0
+        while abs(step - 1.0) > 3e-16:
+            i += 1
+            b += 2.0
+            d = 1.0 / ((-i * (i - a) * d + b) or 1e-300)
+            c = (b - i * (i - a) / c) or 1e-300
+            step = d * c
+            h *= step
+        return math.exp(a * math.log(x) - x) * h
+
+    if x1 > x_s:
+        total += upper(max(x0, x_s)) - (upper(x1) if x1 < math.inf else 0.0)
+    return total
 
 
 @dataclass
@@ -823,17 +898,18 @@ def _pair_overlap(basis: Basis, k: int, l: int) -> "callable":
     return g
 
 
-def _singular_quad(f: CovarianceSpec, smooth, a: float, b: float) -> float:
-    """int_0^b f(u) smooth(u) du: the power-law head of f as an algebraic
-    endpoint weight below r_cut, plain quadrature of the table above it."""
+def _singular_quad(f: CovarianceSpec, smooth, b: float) -> float:
+    """int_0^b f(u) smooth(u) du: the segment of f that reaches 0 as an
+    algebraic endpoint weight, plain quadrature on each further segment."""
     from scipy.integrate import quad
-    amp, B, r_cut = f._origin_law()
-    head_end = min(r_cut, b)
-    val, _ = quad(smooth, a, head_end, weight="alg", wvar=(-B, 0.0), limit=200)
+    (_, hi, amp, B), *rest = f.segments
+    val, _ = quad(smooth, 0.0, min(hi, b), weight="alg", wvar=(-B, 0.0), limit=200)
     val *= amp
-    if head_end < b:
-        val += quad(lambda u: float(f.evaluate_radial(u)) * smooth(u),
-                    head_end, b, limit=200)[0]
+    for lo, hi, amp, B in rest:
+        if lo >= b:
+            break
+        val += quad(lambda u, amp=amp, B=B: amp * u ** (-B) * smooth(u),
+                    lo, min(hi, b), limit=200)[0]
     return val
 
 
@@ -845,7 +921,7 @@ def _direct_gram_1d(f: CovarianceSpec, basis: Basis) -> np.ndarray:
     for i in range(M):
         for j in range(i, M):
             g = _pair_overlap(basis, int(modes[i]), int(modes[j]))
-            Q[i, j] = Q[j, i] = _singular_quad(f, g, 0.0, math.pi)
+            Q[i, j] = Q[j, i] = _singular_quad(f, g, math.pi)
     return Q
 
 

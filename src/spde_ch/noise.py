@@ -15,7 +15,8 @@ of the correlation kernel (see covariance.gram_operator).  Backends:
 The grid-cell backend integrates the kernel over cells with scipy.integrate,
 imported where it runs; the other backends never load it.  The two cell
 offsets that meet the origin singularity use ``covariance._singular_quad``,
-the same quadrature that builds the direct d=1 Gram matrix.
+the per-segment quadrature that builds the direct d=1 Gram matrix; each
+other offset is one quadrature told the segment edges (kinks) inside it.
 
 Randomness is counter-based (Philox): the stream for a given (seed, step,
 path) triple is identical no matter how many other draws happened before,
@@ -222,19 +223,20 @@ def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
     if f.kind == CovarianceSpec.CONSTANT:
         return np.full((n_cells, n_cells), f.c * h * h)
     from scipy.integrate import quad
+    knots = lambda a, b: [s[0] for s in f.segments[1:] if a < s[0] < b]
     col = np.empty(n_cells)
     # offset 0: 2 int_0^h f(u) (h-u) du, singular endpoint handled by weight
-    col[0] = _singular_quad(f, lambda u: 2.0 * (h - u), 0.0, h)
+    col[0] = _singular_quad(f, lambda u: 2.0 * (h - u), h)
     if n_cells > 1:
         # offset 1: int_0^h f(u) u du + int_h^{2h} f(u) (2h-u) du
-        val = _singular_quad(f, lambda u: u, 0.0, h)
+        val = _singular_quad(f, lambda u: u, h)
         val += quad(lambda u: float(f.evaluate_radial(u)) * (2 * h - u),
-                    h, 2 * h, limit=100)[0]
+                    h, 2 * h, points=knots(h, 2 * h) or None, limit=100)[0]
         col[1] = val
     for m in range(2, n_cells):
         tent = lambda u, m=m: float(f.evaluate_radial(u)) * (h - abs(u - m * h))
         val, _ = quad(tent, (m - 1) * h, (m + 1) * h,
-                      points=[m * h], limit=100)
+                      points=[m * h] + knots((m - 1) * h, (m + 1) * h), limit=100)
         col[m] = val
     idx = np.arange(n_cells)
     return col[np.abs(idx[:, None] - idx[None, :])]

@@ -272,7 +272,7 @@ def _reaction_fn(coeffs_tuple):
 
 
 def _nonlinearity(model: ModelSpec, basis: Basis, t: float, coeffs: np.ndarray,
-                  grid_values: np.ndarray, q: float, truncation):
+                  grid_values: np.ndarray, q: float, truncation, grid):
     """Spectral coefficients of the drift, and the cutoff weight applied."""
     norm = basis.lq_norm(grid_values, q)
     weight = 1.0
@@ -284,7 +284,7 @@ def _nonlinearity(model: ModelSpec, basis: Basis, t: float, coeffs: np.ndarray,
         r_hat = basis.dealiased_apply(_reaction_fn(model.reaction), coeffs)
         tamed += basis.laplacian(r_hat)
     if model.forcing is not None:
-        g_vals = np.asarray(model.forcing(t, basis.grid(), grid_values), dtype=float)
+        g_vals = np.asarray(model.forcing(t, grid, grid_values), dtype=float)
         tamed += basis.transform(np.broadcast_to(g_vals, grid_values.shape))
 
     tamed *= weight
@@ -295,11 +295,11 @@ def _nonlinearity(model: ModelSpec, basis: Basis, t: float, coeffs: np.ndarray,
 
 
 def _noise_term(model: ModelSpec, basis: Basis, t: float, grid_values: np.ndarray,
-                increment: np.ndarray):
+                increment: np.ndarray, grid):
     """Project sigma(t, x, u) dW onto the basis, given the raw increment."""
     if np.isscalar(model.sigma):
         return float(model.sigma) * increment
-    sig_vals = np.asarray(model.sigma(t, basis.grid(), grid_values), dtype=float)
+    sig_vals = np.asarray(model.sigma(t, grid, grid_values), dtype=float)
     dW_vals = basis.inverse_transform(increment)
     return basis.transform(np.broadcast_to(sig_vals, dW_vals.shape) * dW_vals)
 
@@ -310,17 +310,22 @@ def _stepper(model: ModelSpec, config: SolverConfig, basis: Basis):
     The drift and the noise amplitude are evaluated at frozen, which is u
     itself except in the Picard iteration; norm is its ||.||_q.  The new
     state is written to out when given (out may be u), else to a new array.
+    A callable forcing or sigma is evaluated on one read-only grid.
     """
     update, noise_w = _scheme_update(basis, config.dt, config.scheme)
+    grid = None
+    if model.forcing is not None or callable(model.sigma):
+        grid = basis.grid()
+        grid.flags.writeable = False
 
     def advance(u, t, increment=None, frozen=None, out=None):
         v = u if frozen is None else frozen
         v_grid = basis.inverse_transform(v)
         drift_hat, weight, norm = _nonlinearity(model, basis, t, v, v_grid,
-                                                config.q, config.truncation)
+                                                config.q, config.truncation, grid)
         new = update(u, drift_hat, out=out)
         if increment is not None:
-            noise = _noise_term(model, basis, t, v_grid, increment)
+            noise = _noise_term(model, basis, t, v_grid, increment, grid)
             noise *= noise_w
             new += noise
         return new, weight, norm

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sint
+from scipy import special as ssp
 
 from spde_ch.basis import DIRICHLET, NEUMANN, Basis
 from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
@@ -26,7 +27,7 @@ from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
                                 scaling_bound_check, small_ball_integral,
                                 sphere_area, stochastic_integrability,
                                 variance_kernel_exponent,
-                                variance_kernel_integral)
+                                variance_kernel_integral, _smoothed_mass)
 from spde_ch.greens import KernelExponents
 from spde_ch.noise import make_backend
 
@@ -691,12 +692,15 @@ class TestCovarianceSpecValidation:
 # ----------------------------------------------------------------------
 # golden bit patterns of the shared radial-kernel routes
 #
-# Riesz, constant and tabulated kernels go through one power-law-head-plus-
-# table path.  These patterns were recorded (numpy 2.4, scipy 1.17, x86-64)
-# from the code that still had a separate route per kernel kind, and the
-# shared path must reproduce them exactly.  Conditions are pinned as
-# (verdict, float.hex(value), float.hex(margin)); dense Gram matrices and
-# grid-cell covariances as the sha256 of their bytes.
+# Riesz, constant and tabulated kernels go through one loop over power-law
+# segments.  The Riesz and constant patterns were recorded (numpy 2.4,
+# scipy 1.17, x86-64) from the code that still had a separate route per
+# kernel kind, and the segment loop must reproduce them exactly.  The
+# tabulated patterns were recorded from the segment code, whose closed forms
+# agree with a knot-aware quadrature reference (TestTabulatedReference).
+# Conditions are pinned as (verdict, float.hex(value), float.hex(margin));
+# dense Gram matrices and grid-cell covariances as the sha256 of their
+# bytes.  None of these routes may raise an IntegrationWarning.
 
 
 def _golden_table(dim):
@@ -745,32 +749,26 @@ GOLDEN = {
     'const3/cahn-hilliard': ('admissible', '0x1.4b292bdddcac8p+1', '0x1.b333333333333p+1'),
     'const3/variance': '0x1.298ea4a053c13p-3',
     'tab1/radial/0.0/0/0.1': '0x1.bdcba697cc1adp+0',
-    'tab1/radial/0.0/0/1.0': '0x1.4a40f94bbcfd2p+2',
+    'tab1/radial/0.0/0/1.0': '0x1.4a40f9329a920p+2',
     'tab1/radial/0.25/1/0.1': '0x1.7745a93e1a444p+5',
-    'tab1/radial/0.25/1/1.0': '0x1.9babaa9c61ab4p+5',
-    'tab1/stochastic': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
-    'tab1/holder-space': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
-    'tab1/holder-time': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
-    'tab1/moment': ('admissible', '0x1.4a40f94bbcfd2p+2', '0x1.dad9fb93a6c7ep-2'),
-    'tab1/cahn-hilliard': ('admissible', '0x1.896ff5ddd045ep-1', '0x1.a1c1a5d8db3f6p+1'),
-    'tab1/variance': '0x1.095ac15f76c2ep+1',
-    'tab2/radial/0.0/0/0.1': '0x1.62f4c8e538c40p-3',
-    'tab2/radial/0.0/0/1.0': '0x1.511151a0df77ep+2',
-    'tab2/radial/0.25/1/0.1': '0x1.297f26e5c1e48p+0',
-    'tab2/radial/0.25/1/1.0': '0x1.44ad1f58fe1f5p+2',
+    'tab1/radial/0.25/1/1.0': '0x1.9babaa99612c3p+5',
+    'tab1/stochastic': ('admissible', '0x1.4a40f9329a920p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/holder-space': ('admissible', '0x1.4a40f9329a920p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/holder-time': ('admissible', '0x1.4a40f9329a920p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/moment': ('admissible', '0x1.4a40f9329a920p+2', '0x1.dad9fb93a6c7ep-2'),
+    'tab1/cahn-hilliard': ('admissible', '0x1.896ff57a80aa4p-1', '0x1.a1c1a5d8db3f6p+1'),
+    'tab1/variance': '0x1.095ac13684ffap+1',
+    'tab2/radial/0.0/0/0.1': '0x1.62f4c8e538c3fp-3',
+    'tab2/radial/0.0/0/1.0': '0x1.5111515e9bf58p+2',
+    'tab2/radial/0.25/1/0.1': '0x1.297f26e5c1e47p+0',
+    'tab2/radial/0.25/1/1.0': '0x1.44ad1eff8388ep+2',
     'riesz1/gram/neumann': '2bcb127860a5fa26e62c083859c8c2675486f1c55644b4e21344d554a04a5dbc',
     'riesz1/gram/dirichlet': '50d17ebc9ac7e2e1a0f3fde583d8a073ebaf915fc19481a103210136fc8a7916',
     'riesz1/cell_cov': '2313d5ac6b469960cdfa719974b661f5bd658fb5cc0524043aeb70f48fee1cbd',
-    'tab1/gram/neumann': 'fa768ad5448a3cc5c6e77c6ba2268616770fb487b543bd5a98ae4e7df4742cac',
-    'tab1/gram/dirichlet': 'e4d18ee85f1261cd58f2da9bac7c9ce5b498e5f72cefb6cfcc53ac2870934e9d',
-    'tab1/cell_cov': '5257d7f64f4d3f3972fafc8f8d91a94c8c625056e19b67c130fd4087061586e5',
+    'tab1/gram/neumann': 'f875727aa280d1991a0e2c58b6856fee32b981a14eb147b49505b056f5c5de7f',
+    'tab1/gram/dirichlet': 'b3746f7b583962cd766502b7abed106af7d8d5895a46f5430d170cea418038ef',
+    'tab1/cell_cov': '924fdd4c73db4c0833c53d5e5c0fb86ecb27c452c20e1f415a925e6d1cc1e3dc',
 }
-
-#: In d >= 2 the tabulated head is S * (v0 r0^B) where the per-kind route
-#: computed (S v0) r0^B; the two roundings differ by at most 2 ulp (1 ulp
-#: was seen).  In d = 1, S = 2 scales exactly and the values stay equal.
-GOLDEN_ULPS = {"tab2": 2}
-
 
 def _golden_keys(section):
     return sorted(k for k in GOLDEN if k.split("/")[1] == section
@@ -778,15 +776,10 @@ def _golden_keys(section):
 
 
 def _check_hex(key, value):
-    expected = float.fromhex(GOLDEN[key])
-    ulps = GOLDEN_ULPS.get(key.split("/")[0], 0)
-    if ulps == 0 or math.isinf(expected):
-        assert float(value).hex() == GOLDEN[key], key
-    else:
-        assert abs(value - expected) <= ulps * np.spacing(expected), key
+    assert float(value).hex() == GOLDEN[key], key
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 class TestGoldenBits:
     @pytest.mark.parametrize("key", _golden_keys("radial"))
     def test_radial_integral(self, key):
@@ -827,23 +820,213 @@ class TestGoldenBits:
         assert hashlib.sha256(bk.cell_cov.tobytes()).hexdigest() == GOLDEN[key]
 
 
-class TestOriginLaw:
+class TestSegments:
     def test_riesz(self):
-        assert CovarianceSpec.riesz(3, 1.25)._origin_law() == (1.0, 1.25, math.inf)
+        assert CovarianceSpec.riesz(3, 1.25).segments == ((0.0, math.inf, 1.0, 1.25),)
 
     def test_constant(self):
-        assert CovarianceSpec.constant(2, 1.7)._origin_law() == (1.7, 0.0, math.inf)
+        assert CovarianceSpec.constant(2, 1.7).segments == ((0.0, math.inf, 1.7, 0.0),)
 
-    def test_tabulated_passes_through_first_sample(self):
+    def test_tabulated_passes_through_every_sample(self):
+        for r, v in ((GOLD_R, GOLD_V), (STEEP_R, STEEP_V)):
+            f = CovarianceSpec.tabulated(2, r, v)
+            np.testing.assert_allclose(f.evaluate_radial(r), v, rtol=1e-15, atol=0)
+            for ri, vi in zip(r, v):
+                assert f.evaluate_radial(ri) == pytest.approx(vi, rel=1e-15, abs=0)
+
+    def test_segments_tile_the_half_line(self):
+        f = CovarianceSpec.tabulated(2, GOLD_R, GOLD_V)
+        edges = [lo for lo, _, _, _ in f.segments] + [f.segments[-1][1]]
+        assert edges == [0.0] + list(GOLD_R) + [math.inf]
+        assert f.segments[0][2:] == f.segments[1][2:]
+        assert f.segments[-1][2:] == (GOLD_V[-1], 0.0)
+
+    def test_first_segment_reproduces_the_fitted_power(self):
         r = np.array([0.2, 0.5, 1.0, 3.0])
         v = np.array([4.0, 2.5, 1.5, 1.0])
-        amp, B, r_cut = CovarianceSpec.tabulated(2, r, v)._origin_law()
-        bhat = math.log(4.0 / 2.5) / math.log(0.5 / 0.2)
-        assert B == pytest.approx(bhat, rel=1e-15)
-        assert r_cut == 0.2
-        assert amp * 0.2 ** -B == pytest.approx(4.0, rel=1e-15)
-        assert amp * 0.5 ** -B == pytest.approx(2.5, rel=1e-15)
+        f = CovarianceSpec.tabulated(2, r, v)
+        _, hi, amp, B = f.segments[0]
+        bhat = -math.log(v[1] / v[0]) / math.log(r[1] / r[0])
+        assert B.hex() == bhat.hex() == f.fitted_origin_power().hex()
+        assert hi == 0.2
+        assert amp == v[0] * 0.2**bhat
+        assert f.evaluate_radial(0.1) == pytest.approx(4.0 * 0.5**-bhat, rel=1e-15)
 
     def test_white_raises(self):
+        f = CovarianceSpec.white(2)
+        assert f.segments == ()
         with pytest.raises(ValueError):
-            CovarianceSpec.white(2)._origin_law()
+            f.fitted_origin_power()
+        with pytest.raises(ValueError):
+            f.evaluate_radial(1.0)
+
+
+# ----------------------------------------------------------------------
+# tabulated kernels against a knot-aware quadrature reference
+#
+# The reference reads the table as written: log-log linear interpolation
+# between samples, the power law through the first two samples below the
+# first, flat past the last.  It integrates every interval between knots
+# on its own with quad at epsabs=0, and the part below the first sample,
+# where the integrand is singular, in closed form (radial integrals) or
+# with an algebraic endpoint weight (smoothed masses).
+
+GOLD_R = np.geomspace(0.2, 5.0, 14)
+GOLD_V = GOLD_R ** -0.6 * (1.0 + 0.3 * GOLD_R)
+# steeper than r^{-5} between 0.4 and 0.8: nu = (d - B)/beta <= 0 there for
+# d <= 4 under biharmonic exponents, and B = 4 exactly on [0.2, 0.4)
+STEEP_R = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+STEEP_V = np.array([1.0, 0.8, 0.05, 1e-3, 9e-4])
+TABLES = {"golden": (GOLD_R, GOLD_V), "steep": (STEEP_R, STEEP_V)}
+
+
+def _ref_quad(g, a, b, **kw):
+    """quad at epsabs=0 whose own error estimate is below the 1e-13 tested."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sint.IntegrationWarning)
+        val, err = sint.quad(g, a, b, epsabs=0, epsrel=5e-14, limit=200, **kw)
+    assert err < 1e-13 * abs(val)
+    return val
+
+
+def _ref_pieces(r, v, upper):
+    """(bhat, first sample's law amplitude, knot intervals below upper, f)."""
+    lr, lv = np.log(r), np.log(v)
+    bhat = math.log(v[0] / v[1]) / math.log(r[1] / r[0])
+
+    def f(rho):
+        if rho >= r[-1]:
+            return float(v[-1])
+        i = int(np.searchsorted(r, rho, side="right")) - 1
+        slope = (lv[i + 1] - lv[i]) / (lr[i + 1] - lr[i])
+        return math.exp(lv[i] + slope * (math.log(rho) - lr[i]))
+
+    edges = [x for x in r if x < upper] + [upper]
+    return bhat, v[0] * r[0] ** bhat, list(zip(edges[:-1], edges[1:])), f
+
+
+def ref_radial(r, v, d, e, kappa, r0):
+    """S_d int_0^r0 f(rho) rho^{d-1-e} ln(1/rho)^kappa d rho."""
+    bhat, amp, pieces, f = _ref_pieces(r, v, r0)
+    # below r[0]: amp int_0^c rho^{q-1} ln(1/rho)^k = amp Gamma(k+1, qL)/q^{k+1}
+    # with c = min(r[0], r0) and L = ln(1/c)
+    q, L = d - e - bhat, math.log(1.0 / min(r[0], r0))
+    total = (amp * ssp.gammaincc(kappa + 1, q * L) * math.gamma(kappa + 1)
+             / q ** (kappa + 1))
+    for a, b in pieces:
+        total += _ref_quad(
+            lambda x: f(x) * x ** (d - 1 - e) * math.log(1 / x) ** kappa, a, b)
+    return sphere_area(d) * total
+
+
+def ref_smoothed_mass(r, v, d, beta, gamma, R, t):
+    """int_{B(0,R)} exp(-|v|^beta / t^gamma) f(v) dv."""
+    bhat, amp, pieces, f = _ref_pieces(r, v, R)
+    g = lambda x: math.exp(-x**beta / t**gamma)
+    total = amp * _ref_quad(g, 0.0, min(r[0], R), weight="alg",
+                            wvar=(d - 1 - bhat, 0.0))
+    for a, b in pieces:
+        total += _ref_quad(lambda x: f(x) * x ** (d - 1) * g(x), a, b)
+    return sphere_area(d) * total
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+class TestTabulatedReference:
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_radial_and_small_ball_integrals(self, table, d):
+        r, v = TABLES[table]
+        f = CovarianceSpec.tabulated(d, r, v)
+        for e, kappa, r0 in [(0.0, 0, 1.0), (0.25, 1, 1.0), (0.3, 0, 0.5),
+                             (0.25, 1, 0.33)]:
+            assert radial_integral(f, e, kappa, r0) == pytest.approx(
+                ref_radial(r, v, d, e, kappa, r0), rel=1e-13, abs=0)
+        for tau in (0.15, 0.5, 0.9):
+            want = ref_radial(r, v, d, d - 4.0, max(5 - d, 0), tau)
+            assert small_ball_integral(f, tau) == pytest.approx(
+                want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_smoothed_mass(self, table, d):
+        r, v = TABLES[table]
+        f = CovarianceSpec.tabulated(d, r, v)
+        ex = KernelExponents.biharmonic(d)
+        nu = (d - f.fitted_origin_power()) / ex.beta
+        for R in (0.3, 1.0, 3.0):
+            h = _smoothed_mass(f, ex.beta, ex.gamma, 1.0, R)
+            for t in np.geomspace(1e-6, 0.5, 6):
+                want = ref_smoothed_mass(r, v, d, ex.beta, ex.gamma, R, t)
+                assert h(t) * t ** (ex.gamma * nu) == pytest.approx(
+                    want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("shift", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_segment_next_to_the_log_case(self, d, shift):
+        # B = 4 - O(shift) on [0.2, 0.4): the small-ball integrand there is
+        # rho^{-1 + O(shift)} ln(1/rho)^{5-d}, where a difference of
+        # antiderivatives ~ 1/shift^{6-d} loses every digit
+        v = STEEP_V.copy()
+        v[2] *= 1.0 + shift
+        f = CovarianceSpec.tabulated(d, STEEP_R, v)
+        assert abs(f.segments[2][3] - 4.0) < 2 * shift
+        assert small_ball_integral(f, 0.9) == pytest.approx(
+            ref_radial(STEEP_R, v, d, d - 4.0, 5 - d, 0.9), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("shift", [-1e-9, 0.0, 1e-9, 1e-4])
+    def test_segment_next_to_nu_zero(self, shift):
+        # d = 4: B = 4 on [0.2, 0.4) puts nu = (d - B)/beta at 0, where
+        # Gamma(nu) times a difference of regularised gammas loses digits
+        v = STEEP_V.copy()
+        v[2] *= 1.0 + shift
+        f = CovarianceSpec.tabulated(4, STEEP_R, v)
+        ex = KernelExponents.biharmonic(4)
+        assert abs(4.0 - f.segments[2][3]) <= 2 * abs(shift)
+        nu = (4 - f.fitted_origin_power()) / ex.beta
+        h = _smoothed_mass(f, ex.beta, ex.gamma, 1.0, 1.0)
+        for t in np.geomspace(1e-4, 0.5, 5):
+            want = ref_smoothed_mass(STEEP_R, v, 4, ex.beta, ex.gamma, 1.0, t)
+            assert h(t) * t ** (ex.gamma * nu) == pytest.approx(
+                want, rel=1e-13, abs=0)
+
+    def test_steep_table_has_segments_past_the_origin_with_nu_at_most_zero(self):
+        for d in (1, 2, 3, 4):
+            f = CovarianceSpec.tabulated(d, STEEP_R, STEEP_V)
+            beta = KernelExponents.biharmonic(d).beta
+            assert min((d - B) / beta for _, _, _, B in f.segments[1:]) <= 0
+        assert CovarianceSpec.tabulated(4, STEEP_R, STEEP_V).segments[2][3] == 4.0
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_variance_kernel_integral(self, table, d):
+        r, v = TABLES[table]
+        f = CovarianceSpec.tabulated(d, r, v)
+        ex = KernelExponents.biharmonic(d)
+        T, R = 0.5, 1.0
+        nu = (d - f.fitted_origin_power()) / ex.beta
+        E = -ex.alpha + ex.gamma * nu
+
+        def h(t):
+            if t == 0.0:
+                # all mass sits below r[0]: int_0^inf rho^{d-1-B} e^{-rho^beta}
+                amp = v[0] * r[0] ** f.fitted_origin_power()
+                return sphere_area(d) * amp * math.gamma(nu) / ex.beta
+            return (ref_smoothed_mass(r, v, d, ex.beta, ex.gamma, R, t)
+                    * t ** (-ex.gamma * nu))
+
+        def outer(g, **tol):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sint.IntegrationWarning)
+                return sint.quad(g, 0.0, T, weight="alg", wvar=(E, 0.0),
+                                 limit=200, **tol)[0]
+
+        want = outer(h, epsabs=0, epsrel=1e-11)
+        # the integrand of variance_kernel_integral, integrated tightly
+        tight = outer(_smoothed_mass(f, ex.beta, ex.gamma, 1.0, R),
+                      epsabs=0, epsrel=1e-12)
+        assert tight == pytest.approx(want, rel=1e-10, abs=0)
+        if table == "golden":
+            # the outer quad runs at scipy's default tolerances; on the
+            # steep table in d = 2 that leaves 1.5e-8 (it reports 4e-9)
+            assert variance_kernel_integral(f, ex, T, R=R) == pytest.approx(
+                want, rel=1e-8, abs=0)

@@ -1,7 +1,8 @@
 """What importing the package, setting up a Riesz run and running it load.
 
 Quadrature (scipy.integrate, which pulls in scipy.optimize) and scipy.linalg
-are imported only on the routes that use them, and no route of a simulate
+are imported only on the routes that use them (radial conditions on a
+tabulated kernel are closed forms and use neither), and no route of a simulate
 run imports scipy.fft or scipy.special (both load scipy's array-API layer,
 whose import costs more than a short run).  The checks run in a fresh
 interpreter, because other test modules import these packages into the
@@ -59,6 +60,23 @@ print(",".join(loaded))
 """
 
 
+TABLE_SCRIPT = r"""
+import sys
+import numpy as np
+from spde_ch import (CovarianceSpec, KernelExponents,
+                     cahn_hilliard_integrability, small_ball_integral,
+                     stochastic_integrability)
+r = np.geomspace(0.2, 5.0, 14)
+for d in (1, 4):
+    f = CovarianceSpec.tabulated(d, r, r ** -0.6 * (1.0 + 0.3 * r))
+    stochastic_integrability(f, KernelExponents.biharmonic(d))
+    cahn_hilliard_integrability(f, 0.2)
+    small_ball_integral(f, 0.5)
+loaded = [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+print(",".join(loaded))
+"""
+
+
 def _fresh_stdout(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(spde_ch.__file__)))
     env = dict(os.environ)
@@ -76,3 +94,7 @@ def test_riesz_setup_loads_no_quadrature_or_scipy_linalg():
 
 def test_simulate_run_loads_neither_scipy_fft_nor_scipy_special():
     assert _fresh_stdout(SIMULATE_SCRIPT) == ""
+
+
+def test_tabulated_conditions_load_no_quadrature():
+    assert _fresh_stdout(TABLE_SCRIPT) == ""

@@ -211,6 +211,33 @@ class TestStepBasics:
             assert weight == traj.weights[j]
         assert u.tobytes() == traj.final.tobytes()
 
+    def test_callable_coefficients_build_the_grid_once(self, monkeypatch):
+        basis = Basis(NEUMANN, 2, 8)
+        backend = make_backend(CovarianceSpec.riesz(2, B=1.0), basis, seed=3)
+        model = ModelSpec(
+            bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+            forcing=lambda t, x, u: 0.1 * np.cos(x[..., 0]) * (1.0 + t),
+            sigma=lambda t, x, u: 0.2 + 0.05 * np.sin(x[..., 1]) * u)
+        cfg = SolverConfig(dt=1e-4, t_final=0.02, truncation=4.0)
+        assert cfg.n_steps == 200
+        u0 = low_mode_state(basis)
+        calls = []
+        grid = Basis.grid
+
+        def counted(self):
+            calls.append(self)
+            return grid(self)
+
+        monkeypatch.setattr(Basis, "grid", counted)
+        traj = simulate(model, cfg, basis, backend=backend, u0=u0, path=1)
+        assert len(calls) == 1
+        u = u0
+        for j in range(cfg.n_steps):
+            inc = backend.sample_coefficients(cfg.dt, step=j, path=1)
+            u, weight, _ = step(u, j * cfg.dt, model, cfg, basis, increment=inc)
+            assert weight == traj.weights[j]
+        assert u.tobytes() == traj.final.tobytes()
+
 
 class TestLinearAdditiveVariance:
     """Ornstein-Uhlenbeck laws reproduced per mode by the noise weighting."""
