@@ -31,8 +31,8 @@ from .basis import DIRICHLET, NEUMANN, Basis
 from .covariance import (CovarianceSpec, cahn_hilliard_integrability,
                          stochastic_integrability)
 from .greens import KernelExponents, green_function
-from .malliavin import (decomposition_terms, density_criterion,
-                        malliavin_matrix, tangent_propagate)
+from .malliavin import (_check_points, _model_derivatives, decomposition_terms,
+                        density_criterion, malliavin_matrix, tangent_propagate)
 from .noise import make_backend
 from .regularity import (TIME, Ensemble, holder_exponent, moment_track,
                          structure_function)
@@ -155,6 +155,14 @@ class RunConfig:
                          sigma=sigma, forcing=forcing, drifts=tuple(drifts),
                          lipschitz_only=bool(spec.get("lipschitz_only", False)))
 
+    def _jacobians(self) -> dict:
+        """tangent_propagate's jacobians for build_model's callables: 0 for
+        the constant forcing, the derivative polynomial of each drift."""
+        polyder = np.polynomial.polynomial.polyder
+        return {"forcing": lambda t, x, u: 0.0,
+                "drifts": tuple(_polynomial(polyder(entry["poly"]))
+                                for entry in (self.model or {}).get("drifts", ()))}
+
     def build_solver(self) -> SolverConfig:
         spec = dict(self.solver or {})
         return SolverConfig(dt=float(spec["dt"]), t_final=float(spec["t_final"]),
@@ -193,49 +201,19 @@ class RunConfig:
 
 
 def validate(config: RunConfig) -> dict:
-    """Report-only check of the solvability hypotheses behind a config.
-
-    Flags: a reaction without four coefficients; non-positive leading
-    reaction coefficient; a constant reaction term under Dirichlet
-    conditions; odd (or negative) drift derivative orders; a covariance
-    kernel that fails the integrability conditions in this dimension
-    (plus the reaction-specific epsilon condition when options.eps is
-    given); and a cutoff norm exponent q <= d, which cannot express
-    initial data in L^q with q > d.
-    """
+    """Report-only check of the solvability hypotheses behind a config:
+    ``solver.model_violations`` of its model, covariance kernel,
+    options.eps and solver q."""
     model = dict(config.model or {})
-    dim = int(config.basis["dim"])
-    reaction = model.get("reaction")
     drift_orders = [tuple(int(a) for a in entry.get("orders", ()))
                     for entry in model.get("drifts", ())]
+    q = None if config.solver is None else float(config.solver.get("q", 2.0))
     violations = [{"hypothesis": name, "detail": detail}
                   for name, detail in model_violations(
-                      config.basis.get("bc", NEUMANN), dim, reaction,
-                      drift_orders)]
-
-    f = config.build_covariance()
-    if f is not None:
-        report = stochastic_integrability(f, KernelExponents.biharmonic(dim))
-        if report.verdict == "inadmissible":
-            violations.append({
-                "hypothesis": "covariance-integrability",
-                "detail": f"{f!r} fails {report.condition_id} "
-                          f"(margin {report.margin:.3g})"})
-        eps = config.options.get("eps")
-        if eps is not None and reaction is not None:
-            ch = cahn_hilliard_integrability(f, float(eps))
-            if ch.verdict == "inadmissible":
-                violations.append({
-                    "hypothesis": "covariance-reaction-eps",
-                    "detail": f"{f!r} fails {ch.condition_id} at eps={eps}"})
-
-    if config.solver is not None:
-        q = float(config.solver.get("q", 2.0))
-        if q <= dim:
-            violations.append({
-                "hypothesis": "initial-data-integrability",
-                "detail": f"q = {q} must exceed the dimension d = {dim}"})
-
+                      config.basis.get("bc", NEUMANN), int(config.basis["dim"]),
+                      model.get("reaction"), drift_orders,
+                      kernel=config.build_covariance(),
+                      eps=config.options.get("eps"), q=q)]
     return {"passed": not violations, "violations": violations}
 
 
@@ -500,11 +478,12 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
     model, solver, f, backend = _build_problem(config, basis)
     if backend is None:
         raise ConfigError("malliavin needs a covariance block")
+    jacobians = config._jacobians()
+    _model_derivatives(model, jacobians)
     nu = float(config.options.get("nu", 1.0 / 32.0))
     d = basis.dim
-    points = config.options.get("points") or [
-        [math.pi / 2] * d, [math.pi / 3] * d]
-    points = np.asarray(points, dtype=float)
+    points = _check_points(basis, config.options.get("points") or [
+        [math.pi / 2] * d, [math.pi / 3] * d])
     taus = config.options.get("taus") or [solver.t_final / 8,
                                           solver.t_final / 4,
                                           solver.t_final / 2]
@@ -515,7 +494,7 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
         # The tangent state is the largest object of the run; it dies with
         # this call, so at most one per pool thread is alive at a time.
         tang = tangent_propagate(traj, model, solver, basis, backend,
-                                 thin=thin)
+                                 thin=thin, jacobians=jacobians)
         mm = malliavin_matrix(tang, points)
         eig_rows = [(traj.path, i, eig)
                     for i, eig in enumerate(mm.eigenvalues())]

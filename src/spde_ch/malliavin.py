@@ -1,10 +1,12 @@
 """Stochastic sensitivity (Malliavin) diagnostics for simulated paths.
 
-``tangent_propagate`` differentiates the exponential time stepper with
-respect to every Gaussian coordinate of the driving noise: the tangent
-started at step r in noise direction j solves the scheme linearized along
-the stored trajectory, so adaptedness (zero rows for r past the target
-time) holds structurally.  ``malliavin_matrix`` accumulates the discrete
+``tangent_propagate`` differentiates the time stepper with respect to
+every Gaussian coordinate of the driving noise: the tangent started at
+step r in noise direction j solves the scheme linearized along the stored
+trajectory, so adaptedness (zero rows for r past the target time) holds
+structurally.  Its drift is the scheme's own: the linearised pointwise
+values T R'(u), g'(u) T and b_i'(u) T go through ``solver._drift``, the
+one drift assembly.  ``malliavin_matrix`` accumulates the discrete
 H_T inner products
 
     Gamma(i, j) = sum_{r, j'} dt * D_{r,j'} u(t0, x_i) * D_{r,j'} u(t0, x_j)
@@ -32,8 +34,9 @@ import numpy as np
 from .basis import Basis, axis_eigenfunctions, axis_product
 from .covariance import CovarianceSpec, small_ball_integral
 from .noise import NoiseBackend
-from .solver import (EXPONENTIAL_EULER, SCHEMES, ModelSpec, SolverConfig,
-                     Trajectory, _check_problem, _propagators, _scheme_update)
+from .solver import (EXPONENTIAL_EULER, ModelSpec, SolverConfig, Trajectory,
+                     _check_problem, _coefficient_on_grid, _drift, _propagators,
+                     _scheme_update)
 
 #: Interior-margin proxy constant: evaluation points must keep a distance
 #: of at least 2 * C2 * tau^{1/4} from the boundary of [0, pi]^d.
@@ -101,17 +104,14 @@ def _direction_matrix(backend: NoiseBackend) -> np.ndarray:
 # model linearization
 
 
-def _reaction_derivative(coeffs_tuple):
+def _reaction_derivative(coeffs_tuple, u):
+    """R'(u) = (3 r3 u + 2 r2) u + r1."""
     r3, r2, r1, _ = (float(c) for c in coeffs_tuple)
-
-    def Rp(u):
-        return (3.0 * r3 * u + 2.0 * r2) * u + r1
-
-    return Rp
+    return (3.0 * r3 * u + 2.0 * r2) * u + r1
 
 
 def _model_derivatives(model: ModelSpec, jacobians):
-    """Resolve the u-derivatives of every state-dependent coefficient.
+    """Resolve the u-derivatives of the callable coefficients.
 
     Scalar amplitudes differentiate to zero automatically; callables must
     come with an explicit derivative in ``jacobians`` ({'sigma': fn,
@@ -119,12 +119,8 @@ def _model_derivatives(model: ModelSpec, jacobians):
     verifiably C^1.
     """
     jac = dict(jacobians or {})
-    reaction_p = None
-    if model.reaction is not None:
-        reaction_p = _reaction_derivative(model.reaction)
-
     sigma_p = None
-    if model.sigma is not None and callable(model.sigma):
+    if model.constant_sigma is None:
         sigma_p = jac.get("sigma")
         if not callable(sigma_p):
             raise ValueError(
@@ -148,7 +144,7 @@ def _model_derivatives(model: ModelSpec, jacobians):
                 "drift coefficients are callable but their u-derivatives "
                 "were not supplied; pass jacobians={'drifts': (db_du, ...)} "
                 "aligned with model.drifts")
-    return reaction_p, sigma_p, forcing_p, drift_ps
+    return sigma_p, forcing_p, drift_ps
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +208,6 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     neither exploded nor crossed its cutoff level before t0.
     """
     _check_problem(model, basis, backend=backend, needs_backend=True)
-    if config.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
     if thin < 1 or int(thin) != thin:
         raise ValueError(f"thin must be a positive integer, got {thin}")
     thin = int(thin)
@@ -236,9 +230,8 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
             f"trajectory reached its cutoff at t={traj.stop_time}, before "
             f"t0={t0}; the tangent equation is only valid up to the crossing")
 
-    reaction_p, sigma_p, forcing_p, drift_ps = _model_derivatives(model, jacobians)
-    scalar_sigma = model.sigma is None or not callable(model.sigma)
-    sigma0 = float(model.sigma or 0.0) if scalar_sigma else None
+    sigma_p, forcing_p, drift_ps = _model_derivatives(model, jacobians)
+    sigma0 = model.constant_sigma
 
     n_total = len(traj.times) - 1
     r_indices = np.arange(0, n_total, thin)
@@ -256,7 +249,8 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     update, noise_w = _scheme_update(basis, dt, config.scheme)
     lam2 = basis.biharmonic_eigenvalues
     grid = basis.grid()
-    col_vals = None if scalar_sigma else basis.inverse_transform(cols)
+    grid.flags.writeable = False
+    col_vals = None if sigma0 is not None else basis.inverse_transform(cols)
 
     D = np.zeros((len(r_indices),) + (n_dir,) + basis.shape)
     leads = np.zeros_like(D)
@@ -271,54 +265,45 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
         u_m = traj.coeffs[m]
         K_m = float(traj.weights[m])
 
+        u_vals = None
+        if forcing_p is not None or sigma0 is None:
+            u_vals = basis.inverse_transform(u_m)
+            u_vals.flags.writeable = False
+
         if active_rows:
             # per-step factors of the linearization, shared by every slice
-            u_ref = u_vals = reaction_ref = g_vals = sp_vals = dW_vals = None
-            if reaction_p is not None or drift_ps:
+            u_ref = reaction_ref = g_vals = sp_vals = dW_vals = None
+            if model.reaction is not None or drift_ps:
                 u_ref = basis.values_on_refined_grid(u_m)
-            if forcing_p is not None or sigma_p is not None:
-                u_vals = basis.inverse_transform(u_m)
-            if reaction_p is not None:
-                reaction_ref = reaction_p(u_ref)
+                u_ref.flags.writeable = False
+            if model.reaction is not None:
+                reaction_ref = _reaction_derivative(model.reaction, u_ref)
             if forcing_p is not None:
-                g_vals = np.broadcast_to(np.asarray(
-                    forcing_p(t, grid, u_vals), dtype=float), basis.shape)
+                g_vals = _coefficient_on_grid(forcing_p, t, grid, u_vals)
             drift_refs = [bp(u_ref) for bp in drift_ps]
             if sigma_p is not None:
-                sp_vals = np.broadcast_to(np.asarray(
-                    sigma_p(t, grid, u_vals), dtype=float), basis.shape)
+                sp_vals = _coefficient_on_grid(sigma_p, t, grid, u_vals)
                 dW_vals = basis.inverse_transform(backend.sample_coefficients(
                     dt, step=m, path=traj.path))
 
             fields = D[:active_rows].reshape((-1,) + basis.shape)
             for lo in range(0, len(fields), per_slice):
-                # The drift sums its terms left to right, starting from
-                # 0.0 when there is no reaction term; each step below keeps
-                # those operations, and their order, in place.
                 block = fields[lo:lo + per_slice]
-                drift = 0.0
+                reaction = forcing = None
                 if u_ref is not None:
                     T_ref = basis.values_on_refined_grid(block)
                 if u_vals is not None:
                     T_vals = basis.inverse_transform(block)
                 if reaction_ref is not None:
-                    # the drift terms below still read T_ref
-                    prod = np.multiply(T_ref, reaction_ref,
-                                       out=None if drift_refs else T_ref)
-                    drift = basis.coeffs_from_refined_grid(prod)
-                    drift *= basis._neg_laplace
-                    drift *= K_m
+                    # in place on T_ref unless a drift term still reads it
+                    reaction = np.multiply(T_ref, reaction_ref,
+                                           out=None if drift_refs else T_ref)
                 if g_vals is not None:
-                    term = basis.transform(g_vals * T_vals)
-                    term *= K_m
-                    term += drift
-                    drift = term
-                for (orders, _), b_ref in zip(model.drifts, drift_refs):
-                    term = basis.derivative(
-                        basis.coeffs_from_refined_grid(b_ref * T_ref), orders)
-                    term += drift
-                    drift = term
-                update(block, drift, out=block)
+                    forcing = g_vals * T_vals
+                drifts = ((orders, b_ref * T_ref) for (orders, _), b_ref
+                          in zip(model.drifts, drift_refs))
+                update(block, _drift(basis, K_m, reaction, forcing, drifts),
+                       out=block)
                 if sp_vals is not None:
                     T_vals *= sp_vals
                     T_vals *= dW_vals
@@ -328,13 +313,11 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 
         row = row_of.get(m)
         if row is not None:
-            if scalar_sigma:
+            if sigma0 is not None:
                 init = np.multiply(sigma0, cols, out=D[row])
             else:
-                sig_vals = np.asarray(
-                    model.sigma(t, grid, basis.inverse_transform(u_m)), dtype=float)
                 init = basis.transform(
-                    np.broadcast_to(sig_vals, basis.shape) * col_vals)
+                    _coefficient_on_grid(model.sigma, t, grid, u_vals) * col_vals)
             np.multiply(init, noise_w, out=D[row])
             age = t0 - traj.times[m + 1]
             if config.scheme == EXPONENTIAL_EULER:
@@ -492,9 +475,8 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     ages = t0 - times[steps + 1]
     E = np.exp(-np.multiply.outer(ages, lam2)) * noise_w
 
-    scalar_sigma = model.sigma is None or not callable(model.sigma)
-    sigma0 = float(model.sigma or 0.0) if scalar_sigma else None
-    if scalar_sigma:
+    sigma0 = model.constant_sigma
+    if sigma0 is not None:
         s_pts = np.full((len(steps), l), sigma0)
     else:
         u_at_pts = _evaluate_at_points(basis, traj.coeffs[steps], pts)
@@ -520,15 +502,16 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     i2 = float(v @ I2 @ v)
 
     i3 = np.zeros(l)
-    if not scalar_sigma:
+    if sigma0 is None:
         grid = basis.grid()
+        grid.flags.writeable = False
         u_vals = basis.inverse_transform(traj.coeffs[steps])
+        u_vals.flags.writeable = False
         for i in range(l):
             g_vals = basis.inverse_transform(rows[i])
             for a, m in enumerate(steps):
-                field = np.asarray(model.sigma(times[m], grid, u_vals[a]),
-                                   dtype=float)
-                diff = np.broadcast_to(field, basis.shape) - s_pts[a, i]
+                diff = _coefficient_on_grid(model.sigma, times[m], grid,
+                                            u_vals[a]) - s_pts[a, i]
                 c = basis.transform(g_vals[a] * diff)
                 i3[i] += dt * gram.bilinear(c, c)
 

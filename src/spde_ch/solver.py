@@ -8,6 +8,9 @@ Integrates
 in spectral coefficient space.  The linear part is propagated exactly by
 ``exp(-lambda_k^2 dt)``; the nonlinearity enters through the phi_1 weight
 ``(1 - exp(-z))/z`` and pointwise products are dealiased on a refined grid.
+``_drift`` is the one assembly of the drift from pointwise values: the
+scheme feeds it R(u), g and b_i(u), and the tangent of
+``spde_ch.malliavin`` feeds it their linearisations.
 The noise increment for mode k is scaled so that a linear additive run
 reproduces the Ornstein-Uhlenbeck variance ``q_k (1-exp(-2 lambda_k^2 t)) /
 (2 lambda_k^2)`` exactly at any step size.
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import NEUMANN, DIRICHLET, Basis
-from .covariance import ADMISSIBLE, BORDERLINE, CovarianceSpec, stochastic_integrability
+from .covariance import (INADMISSIBLE, CovarianceSpec,
+                         cahn_hilliard_integrability, stochastic_integrability)
 from .greens import KernelExponents
 from .noise import NoiseBackend
 
@@ -70,13 +74,17 @@ def truncation_weight(r, n):
     return out
 
 
-def model_violations(bc: str, dim: int, reaction, drift_orders) -> list:
+def model_violations(bc: str, dim: int, reaction, drift_orders, kernel=None,
+                     eps=None, q=None) -> list:
     """(hypothesis id, detail) of each violated model hypothesis, in order.
 
     The hypotheses: four reaction coefficients, a positive leading
     coefficient r3, R(0) = 0 under Dirichlet conditions, and even
     non-negative drift derivative orders, one per axis.  A reaction of
-    the wrong length skips the rules that read its coefficients.
+    the wrong length skips the rules that read its coefficients.  A kernel
+    must be noise-integrable in dimension dim, and with a reaction and eps
+    meet the Cahn-Hilliard condition at eps.  A cutoff norm exponent q must
+    exceed dim, or it cannot express initial data in L^q with q > d.
     """
     out = []
     if reaction is not None and len(reaction) != 4:
@@ -96,6 +104,20 @@ def model_violations(bc: str, dim: int, reaction, drift_orders) -> list:
             out.append(("drift-even-derivative-orders",
                         f"drift derivative orders {orders} must be even, >= 0, "
                         f"one per axis of {dim}"))
+    if kernel is not None:
+        report = stochastic_integrability(kernel, KernelExponents.biharmonic(dim))
+        if report.verdict == INADMISSIBLE:
+            out.append(("covariance-integrability",
+                        f"{kernel!r} fails {report.condition_id} "
+                        f"(margin {report.margin:.3g})"))
+        if eps is not None and reaction is not None:
+            ch = cahn_hilliard_integrability(kernel, float(eps))
+            if ch.verdict == INADMISSIBLE:
+                out.append(("covariance-reaction-eps",
+                            f"{kernel!r} fails {ch.condition_id} at eps={eps}"))
+    if q is not None and q <= dim:
+        out.append(("initial-data-integrability",
+                    f"q = {q} must exceed the dimension d = {dim}"))
     return out
 
 
@@ -131,8 +153,6 @@ class ModelSpec:
     def validate(self, dim: int):
         if self.bc not in (NEUMANN, DIRICHLET):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.reaction is not None and len(self.reaction) != 4:
-            raise ValueError("reaction takes four coefficients (r3, r2, r1, r0)")
         drift_orders = [tuple(int(a) for a in np.atleast_1d(orders))
                         for orders, _ in self.drifts]
         violations = model_violations(self.bc, dim, self.reaction, drift_orders)
@@ -150,12 +170,14 @@ class ModelSpec:
             raise ValueError("sigma must be a numeric scalar or callable")
 
     @property
+    def constant_sigma(self):
+        """sigma as a float when it is a number (None counts as 0.0), and
+        None when it is a callable."""
+        return None if callable(self.sigma) else float(self.sigma or 0.0)
+
+    @property
     def has_noise(self):
-        if self.sigma is None:
-            return False
-        if np.isscalar(self.sigma):
-            return float(self.sigma) != 0.0
-        return True
+        return self.constant_sigma != 0.0
 
 
 @dataclass
@@ -255,53 +277,76 @@ def _scheme_update(basis: Basis, dt: float, scheme: str = EXPONENTIAL_EULER):
     return update, noise_w
 
 
-def _reaction_fn(coeffs_tuple):
+def _reaction(coeffs_tuple, u):
+    """R(u) = ((r3 u + r2) u + r1) u + r0, in place on one new array."""
     r3, r2, r1, r0 = coeffs_tuple
+    out = r3 * u
+    out += r2
+    out *= u
+    out += r1
+    out *= u
+    out += r0
+    return out
 
-    def R(u):
-        # ((r3 u + r2) u + r1) u + r0, in place on one new array
-        out = r3 * u
-        out += r2
-        out *= u
-        out += r1
-        out *= u
-        out += r0
-        return out
 
-    return R
+def _coefficient_on_grid(fn, t: float, grid, u_vals: np.ndarray) -> np.ndarray:
+    """A coefficient fn(t, x, u) on the grid, broadcast to u_vals' shape."""
+    return np.broadcast_to(np.asarray(fn(t, grid, u_vals), dtype=float),
+                           u_vals.shape)
+
+
+def _drift(basis: Basis, weight, reaction, forcing, drifts):
+    """Coefficients of weight [Laplace R + g] + sum_i D^{a_i} b_i, or 0.0.
+
+    The one drift assembly.  It reads pointwise values, stacked or not:
+    reaction (R) and each b_i of drifts, an iterable of (orders, values),
+    on the refined grid, and forcing (g) on the grid; None drops a term.
+    """
+    total = 0.0
+    if reaction is not None:
+        total = basis.coeffs_from_refined_grid(reaction)
+        total *= basis._neg_laplace
+    if forcing is not None:
+        term = basis.transform(forcing)
+        term += total
+        total = term
+    total *= weight
+    for orders, values in drifts:
+        term = basis.derivative(basis.coeffs_from_refined_grid(values), orders)
+        term += total
+        total = term
+    return total
 
 
 def _nonlinearity(model: ModelSpec, basis: Basis, t: float, coeffs: np.ndarray,
                   grid_values: np.ndarray, q: float, truncation, grid):
-    """Spectral coefficients of the drift, and the cutoff weight applied."""
+    """Spectral coefficients of the drift, and the cutoff weight applied.
+    The reaction and every drift read one read-only refined-grid u."""
     norm = basis.lq_norm(grid_values, q)
     weight = 1.0
     if truncation is not None:
         weight = truncation_weight(norm, truncation)
 
-    tamed = np.zeros(coeffs.shape)
+    reaction = forcing = u_ref = None
+    if model.reaction is not None or model.drifts:
+        u_ref = basis.values_on_refined_grid(coeffs)
+        u_ref.flags.writeable = False
     if model.reaction is not None:
-        r_hat = basis.dealiased_apply(_reaction_fn(model.reaction), coeffs)
-        tamed += basis.laplacian(r_hat)
+        reaction = _reaction(model.reaction, u_ref)
     if model.forcing is not None:
-        g_vals = np.asarray(model.forcing(t, grid, grid_values), dtype=float)
-        tamed += basis.transform(np.broadcast_to(g_vals, grid_values.shape))
-
-    tamed *= weight
-    for orders, fn in model.drifts:
-        b_hat = basis.dealiased_apply(fn, coeffs)
-        tamed += basis.derivative(b_hat, orders)
-    return tamed, weight, norm
+        forcing = _coefficient_on_grid(model.forcing, t, grid, grid_values)
+    drifts = ((orders, fn(u_ref)) for orders, fn in model.drifts)
+    return _drift(basis, weight, reaction, forcing, drifts), weight, norm
 
 
 def _noise_term(model: ModelSpec, basis: Basis, t: float, grid_values: np.ndarray,
                 increment: np.ndarray, grid):
     """Project sigma(t, x, u) dW onto the basis, given the raw increment."""
-    if np.isscalar(model.sigma):
-        return float(model.sigma) * increment
-    sig_vals = np.asarray(model.sigma(t, grid, grid_values), dtype=float)
-    dW_vals = basis.inverse_transform(increment)
-    return basis.transform(np.broadcast_to(sig_vals, dW_vals.shape) * dW_vals)
+    sigma = model.constant_sigma
+    if sigma is not None:
+        return sigma * increment
+    sig_vals = _coefficient_on_grid(model.sigma, t, grid, grid_values)
+    return basis.transform(sig_vals * basis.inverse_transform(increment))
 
 
 def _stepper(model: ModelSpec, config: SolverConfig, basis: Basis):
@@ -310,17 +355,19 @@ def _stepper(model: ModelSpec, config: SolverConfig, basis: Basis):
     The drift and the noise amplitude are evaluated at frozen, which is u
     itself except in the Picard iteration; norm is its ||.||_q.  The new
     state is written to out when given (out may be u), else to a new array.
-    A callable forcing or sigma is evaluated on one read-only grid.
+    A callable forcing or sigma is evaluated on one read-only grid, against
+    read-only values of the frozen state.
     """
     update, noise_w = _scheme_update(basis, config.dt, config.scheme)
     grid = None
-    if model.forcing is not None or callable(model.sigma):
+    if model.forcing is not None or model.constant_sigma is None:
         grid = basis.grid()
         grid.flags.writeable = False
 
     def advance(u, t, increment=None, frozen=None, out=None):
         v = u if frozen is None else frozen
         v_grid = basis.inverse_transform(v)
+        v_grid.flags.writeable = False
         drift_hat, weight, norm = _nonlinearity(model, basis, t, v, v_grid,
                                                 config.q, config.truncation, grid)
         new = update(u, drift_hat, out=out)
@@ -367,17 +414,6 @@ def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
     return _stepper(model, config, basis)(coeffs, t, increment, out=coeffs)
 
 
-def _gate_admissibility(covariance, basis, force):
-    if covariance is None or force:
-        return
-    exponents = KernelExponents.biharmonic(basis.dim)
-    report = stochastic_integrability(covariance, exponents)
-    if report.verdict not in (ADMISSIBLE, BORDERLINE):
-        raise ValueError(
-            f"covariance is not admissible in dimension {basis.dim} "
-            f"(margin {report.margin:.3g}); pass force=True to override")
-
-
 def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
              backend: NoiseBackend = None, u0=None, path: int = 0,
              covariance: CovarianceSpec = None, force: bool = False) -> Trajectory:
@@ -392,7 +428,12 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
     crossing and only records it as stop_time.
     """
     u = _check_problem(model, basis, u0, backend, needs_backend=model.has_noise)
-    _gate_admissibility(covariance, basis, force)
+    if covariance is not None and not force:
+        for _, detail in model_violations(basis.bc, basis.dim, None, (),
+                                          kernel=covariance):
+            raise ValueError(
+                f"covariance is not admissible in dimension {basis.dim} "
+                f"({detail}); pass force=True to override")
 
     advance = _stepper(model, config, basis)
 
@@ -401,7 +442,7 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
     norms = [basis.lq_norm(basis.inverse_transform(u), config.q)]
     weights = []
     stop_time = None
-    exploded = False
+    level = BLOWUP_THRESHOLD if config.truncation is None else config.truncation
 
     for j in range(config.n_steps):
         inc = (backend.sample_coefficients(config.dt, step=j, path=path)
@@ -416,15 +457,11 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
             times.append(t_new)
             states.append(u.copy())
             norms.append(norm)
-        if not finite or norm > BLOWUP_THRESHOLD:
-            exploded = True
-            if stop_time is None:
-                stop_time = t_new
+        exploded = norm > BLOWUP_THRESHOLD
+        if stop_time is None and (exploded or norm >= level):
+            stop_time = t_new
+        if exploded:
             break
-        if config.truncation is not None and stop_time is None and norm >= config.truncation:
-            stop_time = t_new
-        if config.truncation is None and stop_time is None and norm >= BLOWUP_THRESHOLD:
-            stop_time = t_new
 
     return Trajectory(times=np.asarray(times), coeffs=np.asarray(states),
                       norms=np.asarray(norms), weights=np.asarray(weights),

@@ -378,21 +378,18 @@ class TestCommands:
             run(RunConfig.from_dict(data))
 
     def test_admissibility_checked_once_per_run(self, tmp_path, monkeypatch):
-        # validate() gates the run; the paths do not repeat the check
-        calls = {"cli": 0, "solver": 0}
+        # validate() gates the run through solver.model_violations; the
+        # paths do not repeat the check
+        calls = []
+        original = solver.stochastic_integrability
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "stochastic_integrability",
-                            counting("cli", cli.stochastic_integrability))
-        monkeypatch.setattr(solver, "stochastic_integrability",
-                            counting("solver", solver.stochastic_integrability))
+        monkeypatch.setattr(solver, "stochastic_integrability", counting)
         run(RunConfig.from_dict(base_config(tmp_path, options={"paths": 3})))
-        assert calls == {"cli": 1, "solver": 0}
+        assert len(calls) == 1
 
 
 class TestCountOptions:
@@ -441,6 +438,35 @@ class TestReproducibility:
         for name in files[0]:
             a, b, c = (_read_bytes(os.path.join(out, name)) for out in outdirs)
             assert a == b == c, f"{name} differs between runs"
+
+    def test_malliavin_with_forcing_and_drift_byte_identical(self, tmp_path):
+        # The CLI derives the u-derivatives of the coefficients it builds,
+        # so malliavin runs every model that simulate accepts.
+        data = base_config(tmp_path, command="malliavin")
+        data["model"] = {"reaction": [1.0, 0.0, -1.0, 0.0], "sigma": 0.1,
+                         "forcing": 0.1,
+                         "drifts": [{"orders": [2], "poly": [0.0, 0.0, 0.05]}]}
+        outdirs = [str(tmp_path / f"threads{n}") for n in (1, 2)]
+        files = [run(RunConfig.from_dict(dict(data, outdir=out)),
+                     threads=n)["files"]
+                 for n, out in zip((1, 2), outdirs)]
+        assert files[0] == files[1]
+        assert set(files[0]) == {"eigenvalues.csv", "decomposition.csv",
+                                 "density.json"}
+        for name in files[0]:
+            a, b = (_read_bytes(os.path.join(out, name)) for out in outdirs)
+            assert a == b, f"{name} differs between thread counts"
+
+    def test_malliavin_rejects_bad_points_before_any_path(self, tmp_path,
+                                                          monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *args, **kwargs: started.append(args))
+        data = base_config(tmp_path, command="malliavin")
+        data["options"]["points"] = [[0.0]]
+        with pytest.raises(ValueError, match="strictly inside"):
+            run(RunConfig.from_dict(data))
+        assert started == []
 
     def test_different_seed_changes_outputs(self, tmp_path):
         data = base_config(tmp_path)

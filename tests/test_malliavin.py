@@ -38,6 +38,17 @@ def point_modes(basis, pts):
                      for p in np.atleast_2d(pts)[:, 0]])
 
 
+class Nudged:
+    """Adds shift to the increment of one (step, path) of a backend."""
+
+    def __init__(self, base, step, path, shift):
+        self.base, self.key, self.shift = base, (step, path), shift
+
+    def sample_coefficients(self, dt, step, path=0):
+        inc = self.base.sample_coefficients(dt, step=step, path=path)
+        return inc + self.shift if (step, path) == self.key else inc
+
+
 @pytest.fixture(scope="module")
 def additive_run():
     basis = neumann_basis(32)
@@ -255,16 +266,6 @@ class TestTangentPropagate:
         # The sigma' term redraws each step's increment from the backend;
         # on path 3 a redraw keyed by the wrong (step, path) is off by
         # several percent.
-        class Nudged:
-            """Adds shift to the increment of one (step, path)."""
-
-            def __init__(self, base, step, path, shift):
-                self.base, self.key, self.shift = base, (step, path), shift
-
-            def sample_coefficients(self, dt, step, path=0):
-                inc = self.base.sample_coefficients(dt, step=step, path=path)
-                return inc + self.shift if (step, path) == self.key else inc
-
         basis = neumann_basis(16)
         backend = make_backend(CovarianceSpec.white(1), basis, seed=9)
         model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
@@ -273,6 +274,32 @@ class TestTangentPropagate:
         config = SolverConfig(dt=2e-3, t_final=0.08)
         u0 = basis.transform(0.8 * np.cos(basis.grid()[..., 0]))
         path, r, j, eps = 3, 5, 3, 1e-6
+        traj = simulate(model, config, basis, backend=backend, u0=u0,
+                        path=path)
+        tang = tangent_propagate(traj, model, config, basis, backend,
+                                 jacobians=jac)
+        col = backend.direction_coefficients(j)
+        ends = [simulate(model, config, basis, u0=u0, path=path,
+                         backend=Nudged(backend, r, path, s * eps * col)).final
+                for s in (1.0, -1.0)]
+        fd = (ends[0] - ends[1]) / (2 * eps)
+        err = np.abs(tang.derivatives[r, j] - fd).max()
+        assert err <= 1e-6 * np.abs(fd).max()
+
+    def test_forcing_and_drift_tangent_matches_finite_difference(self):
+        # Without a cutoff (K = 1) the tangent is the exact linearisation
+        # of the scheme, so every term of the drift shows: R', g' and b'.
+        basis = neumann_basis(16)
+        backend = make_backend(CovarianceSpec.white(1), basis, seed=9)
+        model = ModelSpec(
+            bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0), sigma=0.5,
+            forcing=lambda t, x, u: 0.2 * np.cos(x[..., 0]) + 0.5 * np.sin(u),
+            drifts=(((2,), lambda u: 0.3 * u * u),))
+        jac = {"forcing": lambda t, x, u: 0.5 * np.cos(u),
+               "drifts": (lambda u: 0.6 * u,)}
+        config = SolverConfig(dt=2e-3, t_final=0.08)
+        u0 = basis.transform(0.8 * np.cos(basis.grid()[..., 0]))
+        path, r, j, eps = 2, 5, 3, 1e-6
         traj = simulate(model, config, basis, backend=backend, u0=u0,
                         path=path)
         tang = tangent_propagate(traj, model, config, basis, backend,

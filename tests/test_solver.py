@@ -764,6 +764,19 @@ class TestSimulateInterface:
         traj = simulate(model, cfg, basis, backend, covariance=f, force=True)
         assert traj.coeffs.shape[0] == 2
 
+    def test_drift_writing_into_its_argument_raises(self):
+        # The reaction and every drift read one refined-grid synthesis of u;
+        # a coefficient that wrote into it would corrupt the next term.
+        def doubling(u):
+            u *= 2.0
+            return u
+
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          drifts=(((2,), doubling), ((0,), lambda u: u)))
+        with pytest.raises(ValueError, match="read-only"):
+            simulate(model, SolverConfig(dt=1e-3, t_final=2e-3),
+                     neumann_basis(), u0=low_mode_state(neumann_basis()))
+
     def test_admissible_covariance_passes_gate(self):
         basis = neumann_basis(8)
         f = CovarianceSpec.riesz(1, 0.5)
