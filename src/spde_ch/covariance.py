@@ -56,6 +56,10 @@ EXPONENT_TOL = 1e-12
 #: warn when a Gram matrix eigenvalue is below this before clipping
 PSD_TOL = -1e-10
 
+#: KroneckerMixtureGram.dense forms each term's products in blocks of head
+#: rows of about this many bytes, so they are scaled and summed in cache.
+_DENSE_BLOCK_BYTES = 2**18
+
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d (2 for d=1, 2*pi^2 for d=4)."""
@@ -653,7 +657,9 @@ class DenseGram(GramOperator):
     def __init__(self, basis, matrix):
         super().__init__(basis)
         Q = np.asarray(matrix, dtype=float)
-        Q = 0.5 * (Q + Q.T)
+        # 0.5 * (Q + Q^T) bit for bit, with one (n, n) temporary
+        Q = Q + Q.T
+        Q *= 0.5
         w, V = np.linalg.eigh(Q)
         scale = max(1.0, float(np.abs(w).max()))
         self.min_eigenvalue = float(w.min())
@@ -664,7 +670,8 @@ class DenseGram(GramOperator):
         if w.min() < 0:
             w = np.clip(w, 0.0, None)
             Q = (V * w) @ V.T
-            Q = 0.5 * (Q + Q.T)
+            Q = Q + Q.T
+            Q *= 0.5
             V = None    # V belongs to the unrepaired matrix
         self.matrix = Q
         self._eigh = None if V is None else (w, V)
@@ -709,6 +716,8 @@ class KroneckerMixtureGram(GramOperator):
         self.axis_mats = np.asarray(axis_mats, dtype=float)   # (J, M, M)
         if self.axis_mats.shape[1:] != (basis.modes_per_axis,) * 2:
             raise ValueError("axis matrix shape mismatch")
+        if not np.array_equal(self.axis_mats, self.axis_mats.transpose(0, 2, 1)):
+            raise ValueError("axis matrices must be exactly symmetric")
 
     def _apply_term(self, j, tensors):
         """Apply A_j along every spatial axis of stacked tensors (..., M,..,M)."""
@@ -747,25 +756,45 @@ class KroneckerMixtureGram(GramOperator):
         _guard_dense(n, max_entries)
         d, M = self.basis.dim, self.basis.modes_per_axis
         m = M ** (d - 1)
-        # Q[(p, i), (q, k)] = R[p, q, i, k] = sum_t w_t head_t[p, q] A_t[i, k]
-        # with head_t = A_t^{(x)(d-1)} ([[1]] for d = 1): each term is one
-        # outer product of contiguous arrays into a reused buffer.  The
-        # products, the w_t scaling and the order of the sum over t are
-        # those of a term-by-term np.kron build, so Q is bitwise the same.
-        R = np.zeros((m, m, M, M))
-        buf = np.empty_like(R)
+        # Q[(p, i), (q, k)] = R[p, q, i, k] = sum_t (head_t[p, q] A_t[i, k]) w_t,
+        # summed in t order from 0.0 with head_t = A_t^{(x)(d-1)} built by
+        # np.kron ([[1]] for d = 1), as a term-by-term np.kron build sums it.
+        # Two exact symmetries: every A_t is symmetric to the bit (checked
+        # on construction), and so is head_t, whose entries are products of
+        # mirrored factors (IEEE multiplication commutes).  So R[p, q, i, k]
+        # = R[q, p, i, k] = R[p, q, k, i] bit for bit, and only q >= p and
+        # i <= k are summed: row blocks [lo, hi) of the head hold
+        # R[lo:hi, lo:] over the packed upper triangle of A_t, and Q is
+        # filled from them and mirrored.  This Q is exactly symmetric, and
+        # 0.5 * (Q + Q^T) would return every entry unchanged (x + x = 2x and
+        # 0.5 * 2x = x exactly), so it is not applied.
+        rows, cols = np.triu_indices(M)
+        P = len(rows)
+        blocks, lo = [], 0
+        while lo < m:
+            hi = min(m, lo + max(1, _DENSE_BLOCK_BYTES // (8 * P * (m - lo))))
+            blocks.append((lo, hi))
+            lo = hi
+        acc = [np.zeros((hi - lo, m - lo, P)) for lo, hi in blocks]
+        buf = np.empty(max(R.size for R in acc))
         for w, A in zip(self.weights, self.axis_mats):
             head = np.ones((1, 1))
             for _ in range(d - 1):
                 head = np.kron(head, A)
-            np.multiply.outer(head, A, out=buf)
-            buf *= w
-            R += buf
-        # 0.5 * (Q + Q^T), reading R in both layouts
+            packed = A[rows, cols]
+            for (lo, hi), R in zip(blocks, acc):
+                prod = buf[:R.size].reshape(R.shape)
+                np.multiply.outer(head[lo:hi, lo:], packed, out=prod)
+                prod *= w
+                R += prod
+        unpack = np.empty((M, M), dtype=np.intp)
+        unpack[rows, cols] = unpack[cols, rows] = np.arange(P)
         Q = np.empty((n, n))
-        np.add(R.transpose(0, 2, 1, 3), R.transpose(1, 3, 0, 2),
-               out=Q.reshape(m, M, m, M))
-        Q *= 0.5
+        Q4 = Q.reshape(m, M, m, M)
+        for (lo, hi), R in zip(blocks, acc):
+            full = R[..., unpack]                       # [p, q, i, k]
+            Q4[lo:hi, :, lo:, :] = full.transpose(0, 2, 1, 3)
+            Q4[lo:, :, lo:hi, :] = full.transpose(1, 2, 0, 3)
         return Q
 
     def frobenius_norm(self):

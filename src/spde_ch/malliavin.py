@@ -280,6 +280,8 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                 reaction_ref = _reaction_derivative(model.reaction, u_ref)
             if forcing_p is not None:
                 g_vals = _coefficient_on_grid(forcing_p, t, grid, u_vals)
+                if not g_vals.any():
+                    g_vals = None   # its term would only add signed zeros
             drift_refs = [bp(u_ref) for bp in drift_ps]
             if sigma_p is not None:
                 sp_vals = _coefficient_on_grid(sigma_p, t, grid, u_vals)
@@ -292,7 +294,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                 reaction = forcing = None
                 if u_ref is not None:
                     T_ref = basis.values_on_refined_grid(block)
-                if u_vals is not None:
+                if g_vals is not None or sp_vals is not None:
                     T_vals = basis.inverse_transform(block)
                 if reaction_ref is not None:
                     # in place on T_ref unless a drift term still reads it

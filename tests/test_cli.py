@@ -457,6 +457,54 @@ class TestReproducibility:
             a, b = (_read_bytes(os.path.join(out, name)) for out in outdirs)
             assert a == b, f"{name} differs between thread counts"
 
+    # sha256 of malliavin runs with the CLI's constant forcing, whose
+    # u-derivative 0.0 drops the forcing term from the tangent equation
+    FORCING_DIGESTS = {
+        ("neumann", False): {
+            "decomposition.csv":
+                "677e8f25a7386186401ac37f57ccfe4814dfef927eb873d5ee8f11fdfec459ca",
+            "density.json":
+                "a9412d1db136ae481c045f12ad1dacb474b258c3f9f18b286995029a49b31fda",
+            "eigenvalues.csv":
+                "f4b0351deb996c6e45e85dcebd1ff34d0016a27697b10ec2c269b923231d099f",
+        },
+        ("neumann", True): {
+            "decomposition.csv":
+                "e94b47a45997592014361a150e8c8e1a76c2e6201698127dbd22fc260ca6c75f",
+            "density.json":
+                "adab322abf3b80b9bf9719ace1f641cfd652a19955cca31d927bde2044ab314c",
+            "eigenvalues.csv":
+                "ddd4911356af454828aabe82f74593c90e717ca0a2cae00852433442aa83230d",
+        },
+        ("dirichlet", False): {
+            "decomposition.csv":
+                "61372d51ac87bbaff407d98e9dd1e558bd050eac4756e3ade7c3b852044c90d3",
+            "density.json":
+                "452461b29c75ca1bffb5db4e88bc8e4b2823f7428d1e297dee6ce63fff919b50",
+            "eigenvalues.csv":
+                "a0a56c734db7e7a634b8e17dde17153402caceffa505c025bc316e26e5e59acc",
+        },
+        ("dirichlet", True): {
+            "decomposition.csv":
+                "a54ebbf0f04ab0d5b92e4f4a4222307a21fd70d0038fdd5fda36c851d3ffc4bd",
+            "density.json":
+                "10cd86e77ba766985ec7b8017125f3c008508f0a04f380af530f68ea6053d65b",
+            "eigenvalues.csv":
+                "072fb7faa88cbbcae7861261bfa661bf80da43afa68814a8f57deffe63082890",
+        },
+    }
+
+    @pytest.mark.parametrize("bc,drift", sorted(FORCING_DIGESTS))
+    def test_malliavin_constant_forcing_digests(self, tmp_path, bc, drift):
+        data = base_config(tmp_path, command="malliavin")
+        data["basis"]["bc"] = bc
+        data["model"]["forcing"] = 0.1
+        if drift:
+            data["model"]["drifts"] = [{"orders": [2],
+                                        "poly": [0.0, 0.0, 0.05]}]
+        files = run(RunConfig.from_dict(data))["files"]
+        assert files == self.FORCING_DIGESTS[bc, drift]
+
     def test_malliavin_rejects_bad_points_before_any_path(self, tmp_path,
                                                           monkeypatch):
         started = []

@@ -561,9 +561,13 @@ class TestGramMatrix:
         assert op.diagonal().min() > 0
         assert 0.0 < op.offdiagonal_mass() < 1.0
 
+    # (3, 10, 1.0) is regularity-3d's Gram; M = 1 packs one product per
+    # head entry; m = 49 head rows split into blocks of uneven height.
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
     @pytest.mark.parametrize("dim,M,B", [(1, 8, 0.5), (2, 5, 1.0),
-                                         (3, 4, 1.0), (4, 3, 2.0)])
+                                         (3, 4, 1.0), (4, 3, 2.0),
+                                         (3, 10, 1.0), (2, 1, 1.0),
+                                         (3, 7, 0.7)])
     def test_mixture_dense_matches_kron_loop_bitwise(self, bc, dim, M, B):
         op = gram_operator(CovarianceSpec.riesz(dim, B), Basis(bc, dim, M),
                            method="mixture")
@@ -578,6 +582,30 @@ class TestGramMatrix:
         Q = op.dense()
         assert np.array_equal(Q, ref)
         assert np.array_equal(np.signbit(Q), np.signbit(ref))
+        assert np.array_equal(Q, Q.T)
+
+    def test_mixture_dense_peak_memory(self):
+        # Q itself plus the packed upper block triangle and one block of
+        # scratch; a full (n, n) accumulator and product buffer would
+        # peak near 3 n^2 doubles
+        import tracemalloc
+        op = gram_operator(CovarianceSpec.riesz(3, 1.0), Basis(NEUMANN, 3, 10))
+        n = op.basis.n_modes
+        tracemalloc.start()
+        try:
+            Q = op.dense()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Q.shape == (n, n)
+        assert peak <= 2 * n * n * 8
+
+    def test_mixture_rejects_asymmetric_axis_matrices(self):
+        # dense() forms each mirrored pair of entries once
+        basis = Basis(NEUMANN, 2, 3)
+        A = np.eye(3)[None] + np.triu(np.ones((3, 3)), 1)[None]
+        with pytest.raises(ValueError, match="symmetric"):
+            KroneckerMixtureGram(basis, [1.0], A)
 
     def test_mixture_dense_guard_allocates_nothing(self):
         import tracemalloc

@@ -154,6 +154,28 @@ class TestTangentPropagate:
                                  jacobians={"forcing": lambda t, x, u: 1.0})
         assert np.all(np.isfinite(tang.derivatives))
 
+    def test_zero_forcing_derivative_transforms_nothing_per_slice(
+            self, monkeypatch):
+        # A constant forcing differentiates to 0.0, so its tangent term
+        # g'(u) T would only add signed zeros: neither T nor g'(u) T is
+        # transformed, and u is synthesised once per step to evaluate g'.
+        basis = neumann_basis(12)
+        backend = make_backend(CovarianceSpec.white(1), basis, seed=4)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=0.5, forcing=lambda t, x, u: 0.1)
+        config = SolverConfig(dt=0.01, t_final=0.05)
+        traj = simulate(model, config, basis, backend=backend)
+        calls = {"transform": 0, "inverse_transform": 0}
+        for name in calls:
+            def counted(arr, _fn=getattr(basis, name), _name=name):
+                calls[_name] += 1
+                return _fn(arr)
+            monkeypatch.setattr(basis, name, counted)
+        tang = tangent_propagate(traj, model, config, basis, backend,
+                                 jacobians={"forcing": lambda t, x, u: 0.0})
+        assert calls == {"transform": 0, "inverse_transform": 5}
+        assert np.all(np.isfinite(tang.derivatives))
+
     def test_drift_needs_jacobian(self):
         basis = neumann_basis(12)
         backend = make_backend(CovarianceSpec.white(1), basis, seed=4)
