@@ -9,13 +9,12 @@ Riesz powers f(v) = |v|^{-B}, and tabulated radial profiles.  Everything the
 existence / regularity / density theory asks of f reduces to radial integrals
 with an origin singularity,
 
-    int_{B_d(0,r0)} f(v) |v|^{-e} ln(1/|v|)^kappa dv,
+    int_{B_d(0,r0)} f(v) |v|^{-e} ln(1/|v|)^kappa dv.
 
-possibly Gaussian-smoothed at scale t^{gamma/beta}.  This module decides those
-conditions and assembles the noise Gram matrix Q_{kl} = <e_k, e_l>_H used for
-sampling.  Every density kernel is one list of power-law segments
-(``CovarianceSpec.segments``): f(r) = amp r^{-B} on lo <= r < hi.  A Riesz or
-constant kernel is a single segment on (0, inf).  A table's log-log
+This module decides those conditions and assembles the noise Gram matrix
+Q_{kl} = <e_k, e_l>_H used for sampling.  Every density kernel is one list
+of power-law segments (``CovarianceSpec.segments``): f(r) = amp r^{-B} on
+lo <= r < hi.  A Riesz or constant kernel is a single segment on (0, inf).  A table's log-log
 interpolant is a power law on each sample interval; the law of the first
 interval also covers (0, r_1), and the last sample continues flat to inf.
 Every radial quantity is one loop over the segments: the segment that
@@ -29,10 +28,10 @@ turns Q into a positive combination of Kronecker products of per-axis PSD
 matrices; no dense d-dimensional singular quadrature is ever attempted.
 
 Radial integrals and the conditions built on them use only ``math``.
-scipy.integrate is imported inside the routes that integrate (the direct d=1
-Gram, the variance-kernel integral's outer time integral), so a run that
-only meets kernels in d >= 2 never loads it; scipy.special is imported by
-the variance-kernel integral alone.
+scipy.integrate is imported only by the d=1 routes that integrate: here by
+``_singular_quad``, which builds the direct d=1 Gram, and in ``noise`` by the
+grid-cell backend.  A run that only meets kernels in d >= 2 never loads it,
+and no module imports scipy.special.
 """
 
 from __future__ import annotations
@@ -416,154 +415,6 @@ def small_ball_integral(f: CovarianceSpec, tau: float) -> float:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     kappa = max(5 - f.dim, 0)
     return _radial_integral_any_log(f, float(f.dim - 4), kappa, tau)
-
-
-def variance_kernel_exponent(f: CovarianceSpec, exponents: KernelExponents,
-                             shift: float = 0.0,
-                             moment_ratio: float = 1.0) -> float:
-    """Small-t power E of the variance integrand psi(t) ~ t^E."""
-    if not f.has_density:
-        raise ValueError("white noise has no variance kernel density")
-    B = f.fitted_origin_power()
-    P = exponents.alpha * (moment_ratio - 2.0) - shift
-    return P + exponents.gamma * (f.dim - B) / exponents.beta
-
-
-def variance_kernel_integral(f: CovarianceSpec, exponents: KernelExponents,
-                             T: float, shift: float = 0.0,
-                             moment_ratio: float = 1.0, c: float = 1.0,
-                             R: float = 1.0) -> float:
-    """int_0^T psi(t) dt with the Gaussian-smoothed kernel mass
-
-        psi(t) = t^{alpha(moment_ratio - 2) - shift}
-                 int_{B(0,R)} exp(-c |v|^beta / t^gamma) f(v) dv.
-
-    moment_ratio is q/p (1 recovers the plain second-moment kernel); shift
-    encodes the Hölder substitutions 2 alpha -> 2 alpha + a delta / + b eta.
-    Returns inf when the small-t exponent is <= -1 (non-integrable).
-    """
-    if T <= 0 or c <= 0 or R <= 0:
-        raise ValueError("T, c, R must be positive")
-    if shift < 0 or not 0 < moment_ratio <= 1:
-        raise ValueError("need shift >= 0 and moment_ratio in (0, 1]")
-    E = variance_kernel_exponent(f, exponents, shift, moment_ratio)
-    # psi(t) = t^E * h(t) with h bounded near 0; quad handles the weight
-    if not f.locally_integrable or E <= -1.0:
-        return math.inf
-    from scipy.integrate import quad
-    h = _smoothed_mass(f, exponents.beta, exponents.gamma, c, R)
-    val, _ = quad(h, 0.0, T, weight="alg", wvar=(E, 0.0), limit=200)
-    return val
-
-
-def _smoothed_mass(f: CovarianceSpec, beta: float, gamma: float, c: float,
-                   R: float):
-    """h with int_{B(0,R)} exp(-c |v|^beta / t^gamma) f(v) dv = t^{gamma nu} h(t).
-
-    nu = (d - B_0)/beta > 0 belongs to the segment that reaches 0.  With
-    x(rho) = c rho^beta / t^gamma, segment i adds amp_i S/beta (t^gamma/c)^nu_i
-    int s^{nu_i - 1} e^{-s} ds over [x(lo_i), x(min(hi_i, R))]: a difference
-    of regularised lower gammas when nu_i >= 1, else ``_gamma_between``.
-    """
-    from scipy import special as ssp
-    d, S = f.dim, sphere_area(f.dim)
-    (_, hi, amp, B), *rest = f.segments
-    nu = (d - B) / beta
-    pref = amp * S * math.gamma(nu) / (beta * c**nu)
-    head_end = min(hi, R)
-    # (nu_i, amp_i S/beta, c lo^beta, c min(hi, R)^beta) of each further segment
-    laws = [((d - B) / beta, amp * S / beta, c * lo**beta, c * min(hi, R) ** beta)
-            for lo, hi, amp, B in rest if lo < R]
-
-    def h(t):
-        if t <= 0.0:
-            return pref
-        tg = t**gamma
-        val = pref * ssp.gammainc(nu, c * head_end**beta / tg)
-        scale = t ** (-gamma * nu)
-        for a, coef, x0, x1 in laws:
-            x0, x1 = x0 / tg, x1 / tg
-            mass = (math.gamma(a) * (ssp.gammainc(a, x1) - ssp.gammainc(a, x0))
-                    if a >= 1.0 else _gamma_between(a, x0, x1))
-            val += coef * (tg / c) ** a * mass * scale
-        return val
-
-    return h
-
-
-def _gamma_between(a: float, x0: float, x1: float) -> float:
-    """int_{x0}^{x1} s^{a-1} e^{-s} ds for a < 1 and 0 < x0 < x1 <= inf.
-
-    Below x_s = max(1.5, a + 1) the exponential series integrated term by
-    term, sum_k (-1)^k/k! (y^{a+k} - x0^{a+k})/(a+k), each term written as
-    x0^{a+k} W (e^{(a+k)W} - 1)/((a+k)W) with W = ln(y/x0), so that no a + k
-    near 0 is divided by; above x_s, Gamma(a, .) from Legendre's continued
-    fraction (DLMF 8.9.2) by the modified Lentz method.  Neither amplifies
-    rounding as a approaches 0 or a negative integer, as Gamma(a) times a
-    difference of regularised gammas, or the recurrence Gamma(a, x) =
-    (Gamma(a+1, x) - x^a e^{-x})/a, do there.
-    """
-    x_s = max(1.5, a + 1.0)
-    total, y = 0.0, min(x1, x_s)
-    if x0 < y:
-        W, k, term = math.log(y / x0), 0, math.inf
-        while abs(term) > 1e-17 * abs(total):
-            z = (a + k) * W
-            term = (-1) ** k / math.factorial(k) * x0 ** (a + k) * W * (
-                math.expm1(z) / z if z else 1.0)
-            total += term
-            k += 1
-
-    def upper(x):
-        b, c, d = x + 1.0 - a, 1e300, 1.0 / (x + 1.0 - a)
-        h, i, step = d, 0, 0.0
-        while abs(step - 1.0) > 3e-16:
-            i += 1
-            b += 2.0
-            d = 1.0 / ((-i * (i - a) * d + b) or 1e-300)
-            c = (b - i * (i - a) / c) or 1e-300
-            step = d * c
-            h *= step
-        return math.exp(a * math.log(x) - x) * h
-
-    if x1 > x_s:
-        total += upper(max(x0, x_s)) - (upper(x1) if x1 < math.inf else 0.0)
-    return total
-
-
-@dataclass
-class ScalingBoundCheck:
-    """Result of sampling the two-scale domination f(u) <= C1 f(v)."""
-
-    passed: bool
-    max_ratio: float                  # max over pairs of f(u) / f(v)
-    witness: tuple | None             # (|u|, |v|) of the worst violation
-
-
-def scaling_bound_check(f: CovarianceSpec, C1: float, c1: float,
-                        pairs=None, n_samples: int = 64) -> ScalingBoundCheck:
-    """Check f(u) <= C1 f(v) whenever |v| <= c1 |u| on sampled radius pairs."""
-    if not 0 < c1 <= 1:
-        raise ValueError(f"c1 must be in (0, 1], got {c1}")
-    if C1 <= 0:
-        raise ValueError("C1 must be positive")
-    if not f.has_density:
-        raise ValueError("white noise has no pointwise density")
-    if pairs is None:
-        us = np.geomspace(1e-6, f.diameter, n_samples)
-        fracs = np.array([1.0, 0.5, 0.1])
-        pairs = [(u, frac * c1 * u) for u in us for frac in fracs]
-    worst = 0.0
-    witness = None
-    for u, v in pairs:
-        if v > c1 * u + 1e-15:
-            raise ValueError(f"pair ({u}, {v}) violates |v| <= c1 |u|")
-        ratio = float(f.evaluate_radial(u) / f.evaluate_radial(v))
-        if ratio > worst:
-            worst, witness = ratio, (float(u), float(v))
-    passed = worst <= C1 * (1.0 + 1e-12)
-    return ScalingBoundCheck(passed=passed, max_ratio=worst,
-                             witness=None if passed else witness)
 
 
 # ----------------------------------------------------------------------

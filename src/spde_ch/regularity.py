@@ -13,9 +13,6 @@ function into a Hölder exponent estimate (half the log-log slope), with a
 "saturated" flag once the slope reaches the first-difference cap of 2 —
 fields smoother than C^1 are indistinguishable beyond that point.
 
-``increment_moment_scaling`` extends the estimator to higher even moments
-of stochastic-convolution increments and compares the fitted power with
-the largest admissible Hölder order of the driving kernel.
 ``moment_track`` follows sup_t E ||u(t)||_q^p over an ensemble, and
 ``u0_regularity_check`` measures how the deterministic semigroup flow of
 an initial condition moves in L^q, in sup norm, and in space.
@@ -27,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DIRICHLET, Basis, axis_eigenfunctions, axis_product
-from .covariance import CovarianceSpec, holder_integrability
-from .greens import KernelExponents, apply_semigroup
+from .greens import apply_semigroup
 from .solver import ModelSpec, SolverConfig, simulate
 
 TIME = "time"
@@ -179,8 +175,8 @@ def _snap_lags(lags, unit, lo, hi, what):
     return steps
 
 
-def _ensemble_increment_moments(ensemble: Ensemble, axis, lags, power, t_base):
-    """Per-lag mean and stderr of |increment|^power over paths x base points."""
+def _ensemble_increment_moments(ensemble: Ensemble, axis, lags, t_base):
+    """Per-lag mean and stderr of |increment|^2 over paths x base points."""
     basis = ensemble.basis
     times = ensemble.times
     if len(times) < 2:
@@ -226,7 +222,7 @@ def _ensemble_increment_moments(ensemble: Ensemble, axis, lags, power, t_base):
                 sl_lo[grid_axis] = slice(0, -k)
                 window = vals[base_pool]
                 diff = window[tuple(sl_hi)] - window[tuple(sl_lo)]
-            path_means[p, j] = np.mean(np.abs(diff) ** power)
+            path_means[p, j] = np.mean(np.abs(diff) ** 2.0)
     values = path_means.mean(axis=0)
     if P > 1:
         errors = path_means.std(axis=0, ddof=1) / math.sqrt(P)
@@ -254,7 +250,7 @@ def structure_function(source, axis, lags, t_base=None) -> StructureFunction:
                                  errors=np.zeros(len(lags)))
     if isinstance(source, Ensemble):
         eff, values, errors = _ensemble_increment_moments(source, axis, lags,
-                                                          2.0, t_base)
+                                                          t_base)
         return StructureFunction(axis=axis, lags=eff, values=values, errors=errors)
     raise ValueError("source must be an Ensemble or a LinearOracle")
 
@@ -312,74 +308,6 @@ def holder_exponent(sf: StructureFunction, window=None) -> HolderFit:
     return HolderFit(exponent=exponent, slope=slope, stderr=stderr,
                      ci=(exponent - half_width, exponent + half_width),
                      saturated=saturated, n_lags=len(x))
-
-
-def _max_admissible_order(f: CovarianceSpec, exponents: KernelExponents,
-                          which: str, tol: float = 1e-6):
-    """Largest Hölder order the kernel admits along the given axis, or None."""
-    lo, hi = 0.0, 1.0 - 1e-12
-    if not holder_integrability(f, exponents, which, tol).admissible:
-        return None
-    if holder_integrability(f, exponents, which, hi).admissible:
-        return hi
-    lo = tol
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if holder_integrability(f, exponents, which, mid).admissible:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-@dataclass
-class MomentScalingReport:
-    """Fitted increment-moment exponent against the kernel's admissible one."""
-
-    structure: StructureFunction
-    moment: float             # 2p
-    fitted_exponent: float    # log-log slope of E|increment|^{2p}
-    admissible_exponent: float
-    holder_order: float       # largest admissible Hölder order of the kernel
-    passed: bool              # fitted >= admissible - slack (one sided)
-    slack: float = 0.1
-
-
-def increment_moment_scaling(ensemble: Ensemble, f: CovarianceSpec,
-                             exponents: KernelExponents, axis, lags,
-                             p: int = 1, t_base=None,
-                             slack: float = 0.1) -> MomentScalingReport:
-    """Regress E|increment|^{2p} of a stochastic convolution ensemble.
-
-    The driving kernel must admit some positive Hölder order along the
-    axis (otherwise the scaling statement is void and the call refuses).
-    The lemma-side exponent for the 2p-th moment is 2 p times the largest
-    admissible order; the MC check is one-sided with the given slack.
-    """
-    if p < 1 or int(p) != p:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    which = "time" if axis == TIME else "space"
-    order = _max_admissible_order(f, exponents, which)
-    if order is None:
-        raise ValueError(f"the kernel admits no positive {which} Hölder order")
-    eff, values, errors = _ensemble_increment_moments(ensemble, axis, lags,
-                                                      2.0 * p, t_base)
-    sf = StructureFunction(axis=axis, lags=eff, values=values, errors=errors,
-                           moment=2.0 * p)
-    admissible = 2.0 * p * order
-    if np.all(values == 0.0):
-        # spatially (or temporally) flat field: increments vanish outright,
-        # which beats any power law
-        return MomentScalingReport(structure=sf, moment=2.0 * p,
-                                   fitted_exponent=math.inf,
-                                   admissible_exponent=admissible,
-                                   holder_order=order, passed=True, slack=slack)
-    fit = holder_exponent(sf)
-    passed = fit.slope >= admissible - slack or fit.saturated
-    return MomentScalingReport(structure=sf, moment=2.0 * p,
-                               fitted_exponent=fit.slope,
-                               admissible_exponent=admissible,
-                               holder_order=order, passed=passed, slack=slack)
 
 
 @dataclass

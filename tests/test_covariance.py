@@ -24,10 +24,8 @@ from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
                                 cahn_hilliard_integrability, gram_matrix,
                                 gram_operator, holder_integrability,
                                 moment_integrability, radial_integral,
-                                scaling_bound_check, small_ball_integral,
-                                sphere_area, stochastic_integrability,
-                                variance_kernel_exponent,
-                                variance_kernel_integral, _smoothed_mass)
+                                small_ball_integral, sphere_area,
+                                stochastic_integrability)
 from spde_ch.greens import KernelExponents
 from spde_ch.noise import make_backend
 
@@ -326,103 +324,6 @@ class TestSmallBallIntegral:
     def test_validation(self):
         with pytest.raises(ValueError, match="tau"):
             small_ball_integral(CovarianceSpec.riesz(4, 1.0), 1.0)
-
-
-class TestVarianceKernelIntegral:
-    def test_sqrt_T_scaling_for_B2_d4(self):
-        f = CovarianceSpec.riesz(4, 2.0)
-        ex = KernelExponents.biharmonic(4)
-        v1 = variance_kernel_integral(f, ex, 1e-4)
-        v2 = variance_kernel_integral(f, ex, 4e-4)
-        assert v2 / v1 == pytest.approx(2.0, rel=1e-5)
-        assert variance_kernel_exponent(f, ex) == pytest.approx(-0.5, abs=1e-14)
-
-    def test_divergent_at_B4(self):
-        ex = KernelExponents.biharmonic(4)
-        assert math.isinf(variance_kernel_integral(
-            CovarianceSpec.riesz(4, 4.0), ex, 0.1))
-
-    def test_constant_kernel_linear_in_T(self):
-        ex = KernelExponents.biharmonic(4)
-        f = CovarianceSpec.constant(4, 2.0)
-        v1 = variance_kernel_integral(f, ex, 1e-4)
-        v2 = variance_kernel_integral(f, ex, 2e-4)
-        assert v2 / v1 == pytest.approx(2.0, rel=1e-4)
-        assert variance_kernel_exponent(f, ex) == pytest.approx(0.0, abs=1e-14)
-
-    def test_exponent_grid(self):
-        ex = KernelExponents.biharmonic(4)
-        for B in (0.5, 1.0, 2.5, 3.5):
-            got = variance_kernel_exponent(CovarianceSpec.riesz(4, B), ex)
-            assert got == pytest.approx(-B / 4.0, abs=1e-13)
-
-    def test_shift_pushes_to_divergence(self):
-        # E = -1 - shift + (4 - B)/4; B=2, shift=0.5 sits exactly at -1
-        ex = KernelExponents.biharmonic(4)
-        f = CovarianceSpec.riesz(4, 2.0)
-        assert math.isinf(variance_kernel_integral(f, ex, 0.1, shift=0.5))
-        assert math.isfinite(variance_kernel_integral(f, ex, 0.1, shift=0.4))
-
-    def test_moment_ratio_variant(self):
-        ex = KernelExponents.biharmonic(4)
-        f = CovarianceSpec.riesz(4, 2.0)
-        assert math.isinf(variance_kernel_integral(f, ex, 0.1, moment_ratio=0.5))
-        assert math.isfinite(variance_kernel_integral(f, ex, 0.1, moment_ratio=0.6))
-
-    def test_tabulated_matches_riesz(self):
-        ex = KernelExponents.biharmonic(4)
-        rr = np.geomspace(1e-4, 2 * math.pi, 200)
-        ftab = CovarianceSpec.tabulated(4, rr, rr**-2.0)
-        a = variance_kernel_integral(CovarianceSpec.riesz(4, 2.0), ex, 1e-3)
-        b = variance_kernel_integral(ftab, ex, 1e-3)
-        assert b == pytest.approx(a, rel=1e-8)
-
-    def test_validation(self):
-        ex = KernelExponents.biharmonic(4)
-        with pytest.raises(ValueError):
-            variance_kernel_integral(CovarianceSpec.white(4), ex, 0.1)
-        f = CovarianceSpec.riesz(4, 2.0)
-        with pytest.raises(ValueError):
-            variance_kernel_integral(f, ex, -1.0)
-        with pytest.raises(ValueError):
-            variance_kernel_integral(f, ex, 0.1, moment_ratio=1.5)
-        with pytest.raises(ValueError):
-            variance_kernel_integral(f, ex, 0.1, shift=-0.1)
-
-
-class TestScalingBound:
-    def test_riesz_passes_at_exact_constant(self):
-        # f(u)/f(v) <= (c1)^B with equality at |v| = c1 |u|
-        rep = scaling_bound_check(CovarianceSpec.riesz(3, 2.0), 0.25, 0.5)
-        assert rep.passed
-        assert rep.max_ratio == pytest.approx(0.25, rel=1e-12)
-
-    def test_riesz_fails_below_exact_constant(self):
-        rep = scaling_bound_check(CovarianceSpec.riesz(3, 2.0), 0.2499, 0.5)
-        assert not rep.passed
-        assert rep.witness is not None
-
-    def test_constant_kernel(self):
-        assert scaling_bound_check(CovarianceSpec.constant(2, 5.0), 1.0, 0.9).passed
-
-    def test_piecewise_counterexample(self):
-        # rises from |v|^{-2} to a large plateau: near pair violates domination
-        radii = [0.01, 0.02, 0.05, 0.1, 0.11, 3.0]
-        values = [1e4, 2.5e3, 4e2, 1e2, 1e6, 1e6]
-        f = CovarianceSpec.tabulated(2, radii, values)
-        rep = scaling_bound_check(f, 1.0, 0.5, pairs=[(0.2, 0.05)])
-        assert not rep.passed
-        assert rep.witness == (0.2, 0.05)
-        assert rep.max_ratio == pytest.approx(1e6 / 400.0, rel=1e-9)
-
-    def test_validation(self):
-        f = CovarianceSpec.riesz(2, 1.0)
-        with pytest.raises(ValueError, match="c1"):
-            scaling_bound_check(f, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            scaling_bound_check(f, 1.0, 0.5, pairs=[(0.1, 0.09)])
-        with pytest.raises(ValueError):
-            scaling_bound_check(CovarianceSpec.white(2), 1.0, 0.5)
 
 
 class TestRieszVerdictStraddle:
@@ -755,7 +656,6 @@ GOLDEN = {
     'riesz2/holder-time': ('admissible', '0x1.921fb54442d18p+4', '0x1.0000000000000p-1'),
     'riesz2/moment': ('admissible', '0x1.921fb54442d18p+3', '0x1.0000000000000p-1'),
     'riesz2/cahn-hilliard': ('admissible', '0x1.7ef9a071c5bb5p+1', '0x1.0cccccccccccdp+1'),
-    'riesz2/variance': '0x1.0e7978e57dd04p+3',
     'riesz4/radial/0.0/0/0.1': '0x1.9914d2cf52d6bp-6',
     'riesz4/radial/0.0/0/1.0': '0x1.f952e0f96d630p+2',
     'riesz4/radial/0.25/1/0.1': '0x1.158cae5779c58p-3',
@@ -765,7 +665,6 @@ GOLDEN = {
     'riesz4/holder-time': ('admissible', '0x1.3bd3cc9be45dep+5', '0x1.0000000000000p-1'),
     'riesz4/moment': ('admissible', '0x1.3bd3cc9be45dep+5', '0x1.0000000000000p-1'),
     'riesz4/cahn-hilliard': ('admissible', '0x1.738fc38a39d7dp+3', '0x1.b333333333333p+0'),
-    'riesz4/variance': '0x1.bcc8b80d1bfdfp+0',
     'const3/radial/0.0/0/0.1': '0x1.8052bbb7114d9p-9',
     'const3/radial/0.0/0/1.0': '0x1.7750cb50c6e5ap+1',
     'const3/radial/0.25/1/0.1': '0x1.f0f5bd5411044p-7',
@@ -775,7 +674,6 @@ GOLDEN = {
     'const3/holder-time': ('admissible', '0x1.197c987c952c4p+2', '0x1.0000000000000p+1'),
     'const3/moment': ('admissible', '0x1.c260f3fa8846dp+1', '0x1.4000000000000p+1'),
     'const3/cahn-hilliard': ('admissible', '0x1.4b292bdddcac8p+1', '0x1.b333333333333p+1'),
-    'const3/variance': '0x1.298ea4a053c13p-3',
     'tab1/radial/0.0/0/0.1': '0x1.bdcba697cc1adp+0',
     'tab1/radial/0.0/0/1.0': '0x1.4a40f9329a920p+2',
     'tab1/radial/0.25/1/0.1': '0x1.7745a93e1a444p+5',
@@ -785,7 +683,6 @@ GOLDEN = {
     'tab1/holder-time': ('admissible', '0x1.4a40f9329a920p+2', '0x1.dad9fb93a6c7ep-2'),
     'tab1/moment': ('admissible', '0x1.4a40f9329a920p+2', '0x1.dad9fb93a6c7ep-2'),
     'tab1/cahn-hilliard': ('admissible', '0x1.896ff57a80aa4p-1', '0x1.a1c1a5d8db3f6p+1'),
-    'tab1/variance': '0x1.095ac13684ffap+1',
     'tab2/radial/0.0/0/0.1': '0x1.62f4c8e538c3fp-3',
     'tab2/radial/0.0/0/1.0': '0x1.5111515e9bf58p+2',
     'tab2/radial/0.25/1/0.1': '0x1.297f26e5c1e47p+0',
@@ -828,12 +725,6 @@ class TestGoldenBits:
                }[cond]()
         assert (rep.verdict, float(rep.value).hex(),
                 float(rep.margin).hex()) == GOLDEN[key]
-
-    @pytest.mark.parametrize("key", _golden_keys("variance"))
-    def test_variance_kernel_integral(self, key):
-        f = GOLDEN_KERNELS[key.split("/")[0]]()
-        ex = KernelExponents.biharmonic(f.dim)
-        _check_hex(key, variance_kernel_integral(f, ex, 0.5, R=0.3))
 
     @pytest.mark.parametrize("key", _golden_keys("gram"))
     def test_direct_gram_1d_bytes(self, key):
@@ -896,8 +787,7 @@ class TestSegments:
 # between samples, the power law through the first two samples below the
 # first, flat past the last.  It integrates every interval between knots
 # on its own with quad at epsabs=0, and the part below the first sample,
-# where the integrand is singular, in closed form (radial integrals) or
-# with an algebraic endpoint weight (smoothed masses).
+# where the integrand is singular, in closed form.
 
 GOLD_R = np.geomspace(0.2, 5.0, 14)
 GOLD_V = GOLD_R ** -0.6 * (1.0 + 0.3 * GOLD_R)
@@ -947,17 +837,6 @@ def ref_radial(r, v, d, e, kappa, r0):
     return sphere_area(d) * total
 
 
-def ref_smoothed_mass(r, v, d, beta, gamma, R, t):
-    """int_{B(0,R)} exp(-|v|^beta / t^gamma) f(v) dv."""
-    bhat, amp, pieces, f = _ref_pieces(r, v, R)
-    g = lambda x: math.exp(-x**beta / t**gamma)
-    total = amp * _ref_quad(g, 0.0, min(r[0], R), weight="alg",
-                            wvar=(d - 1 - bhat, 0.0))
-    for a, b in pieces:
-        total += _ref_quad(lambda x: f(x) * x ** (d - 1) * g(x), a, b)
-    return sphere_area(d) * total
-
-
 @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 class TestTabulatedReference:
     @pytest.mark.parametrize("table", sorted(TABLES))
@@ -974,20 +853,6 @@ class TestTabulatedReference:
             assert small_ball_integral(f, tau) == pytest.approx(
                 want, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("table", sorted(TABLES))
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_smoothed_mass(self, table, d):
-        r, v = TABLES[table]
-        f = CovarianceSpec.tabulated(d, r, v)
-        ex = KernelExponents.biharmonic(d)
-        nu = (d - f.fitted_origin_power()) / ex.beta
-        for R in (0.3, 1.0, 3.0):
-            h = _smoothed_mass(f, ex.beta, ex.gamma, 1.0, R)
-            for t in np.geomspace(1e-6, 0.5, 6):
-                want = ref_smoothed_mass(r, v, d, ex.beta, ex.gamma, R, t)
-                assert h(t) * t ** (ex.gamma * nu) == pytest.approx(
-                    want, rel=1e-13, abs=0)
-
     @pytest.mark.parametrize("shift", [1e-2, 1e-4, 1e-6])
     @pytest.mark.parametrize("d", [1, 2])
     def test_segment_next_to_the_log_case(self, d, shift):
@@ -1001,60 +866,9 @@ class TestTabulatedReference:
         assert small_ball_integral(f, 0.9) == pytest.approx(
             ref_radial(STEEP_R, v, d, d - 4.0, 5 - d, 0.9), rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("shift", [-1e-9, 0.0, 1e-9, 1e-4])
-    def test_segment_next_to_nu_zero(self, shift):
-        # d = 4: B = 4 on [0.2, 0.4) puts nu = (d - B)/beta at 0, where
-        # Gamma(nu) times a difference of regularised gammas loses digits
-        v = STEEP_V.copy()
-        v[2] *= 1.0 + shift
-        f = CovarianceSpec.tabulated(4, STEEP_R, v)
-        ex = KernelExponents.biharmonic(4)
-        assert abs(4.0 - f.segments[2][3]) <= 2 * abs(shift)
-        nu = (4 - f.fitted_origin_power()) / ex.beta
-        h = _smoothed_mass(f, ex.beta, ex.gamma, 1.0, 1.0)
-        for t in np.geomspace(1e-4, 0.5, 5):
-            want = ref_smoothed_mass(STEEP_R, v, 4, ex.beta, ex.gamma, 1.0, t)
-            assert h(t) * t ** (ex.gamma * nu) == pytest.approx(
-                want, rel=1e-13, abs=0)
-
     def test_steep_table_has_segments_past_the_origin_with_nu_at_most_zero(self):
         for d in (1, 2, 3, 4):
             f = CovarianceSpec.tabulated(d, STEEP_R, STEEP_V)
             beta = KernelExponents.biharmonic(d).beta
             assert min((d - B) / beta for _, _, _, B in f.segments[1:]) <= 0
         assert CovarianceSpec.tabulated(4, STEEP_R, STEEP_V).segments[2][3] == 4.0
-
-    @pytest.mark.parametrize("table", sorted(TABLES))
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_variance_kernel_integral(self, table, d):
-        r, v = TABLES[table]
-        f = CovarianceSpec.tabulated(d, r, v)
-        ex = KernelExponents.biharmonic(d)
-        T, R = 0.5, 1.0
-        nu = (d - f.fitted_origin_power()) / ex.beta
-        E = -ex.alpha + ex.gamma * nu
-
-        def h(t):
-            if t == 0.0:
-                # all mass sits below r[0]: int_0^inf rho^{d-1-B} e^{-rho^beta}
-                amp = v[0] * r[0] ** f.fitted_origin_power()
-                return sphere_area(d) * amp * math.gamma(nu) / ex.beta
-            return (ref_smoothed_mass(r, v, d, ex.beta, ex.gamma, R, t)
-                    * t ** (-ex.gamma * nu))
-
-        def outer(g, **tol):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sint.IntegrationWarning)
-                return sint.quad(g, 0.0, T, weight="alg", wvar=(E, 0.0),
-                                 limit=200, **tol)[0]
-
-        want = outer(h, epsabs=0, epsrel=1e-11)
-        # the integrand of variance_kernel_integral, integrated tightly
-        tight = outer(_smoothed_mass(f, ex.beta, ex.gamma, 1.0, R),
-                      epsabs=0, epsrel=1e-12)
-        assert tight == pytest.approx(want, rel=1e-10, abs=0)
-        if table == "golden":
-            # the outer quad runs at scipy's default tolerances; on the
-            # steep table in d = 2 that leaves 1.5e-8 (it reports 4e-9)
-            assert variance_kernel_integral(f, ex, T, R=R) == pytest.approx(
-                want, rel=1e-8, abs=0)

@@ -7,7 +7,6 @@ import pytest
 
 from spde_ch.basis import DIRICHLET, NEUMANN, Basis
 from spde_ch.covariance import CovarianceSpec
-from spde_ch.greens import KernelExponents
 from spde_ch.noise import make_backend
 from spde_ch.regularity import (
     BOUNDARY_SPACE_HOLDER,
@@ -19,7 +18,6 @@ from spde_ch.regularity import (
     StructureFunction,
     TIME,
     holder_exponent,
-    increment_moment_scaling,
     moment_track,
     structure_function,
     u0_regularity_check,
@@ -145,15 +143,6 @@ def white_ensemble():
     model = ModelSpec(bc=NEUMANN, sigma=1.0)
     cfg = SolverConfig(dt=1e-3, t_final=0.02)
     return Ensemble.generate(model, cfg, basis, backend, n_paths=400)
-
-
-@pytest.fixture(scope="module")
-def conv_ensemble():
-    basis = Basis(NEUMANN, 1, 32)
-    backend = make_backend(CovarianceSpec.white(1), basis, seed=11)
-    model = ModelSpec(bc=NEUMANN, sigma=1.0)
-    cfg = SolverConfig(dt=1e-3, t_final=0.02)
-    return Ensemble.generate(model, cfg, basis, backend, n_paths=300)
 
 
 class TestStructureFunctionEnsemble:
@@ -290,62 +279,6 @@ class TestHolderExponent:
             StructureFunction(TIME, [0.1], [-1.0], [0.0])
         with pytest.raises(ValueError, match="errors"):
             StructureFunction(TIME, [0.1], [1.0], [-0.5])
-
-
-class TestIncrementMomentScaling:
-    def test_first_moment_reduces_to_structure_function(self, conv_ensemble):
-        ex = KernelExponents.biharmonic(1)
-        lags = np.geomspace(2e-3, 5e-3, 5)
-        rep = increment_moment_scaling(conv_ensemble, CovarianceSpec.white(1), ex,
-                                       TIME, lags, p=1, t_base=0.015)
-        sf = structure_function(conv_ensemble, TIME, lags, t_base=0.015)
-        np.testing.assert_array_equal(rep.structure.values, sf.values)
-        assert rep.moment == 2.0
-
-    def test_admissible_exponent_from_kernel(self, conv_ensemble):
-        ex = KernelExponents.biharmonic(1)
-        lags = np.geomspace(2e-3, 5e-3, 5)
-        rep = increment_moment_scaling(conv_ensemble, CovarianceSpec.white(1), ex,
-                                       TIME, lags, p=1, t_base=0.015)
-        # largest admissible time Hölder order for white noise in d=1 is 3/8
-        assert rep.holder_order == pytest.approx(0.375, abs=1e-4)
-        assert rep.admissible_exponent == pytest.approx(0.75, abs=2e-4)
-        assert rep.passed
-
-    def test_fourth_moment_scaling(self, conv_ensemble):
-        ex = KernelExponents.biharmonic(1)
-        lags = np.geomspace(2e-3, 5e-3, 5)
-        rep = increment_moment_scaling(conv_ensemble, CovarianceSpec.white(1), ex,
-                                       TIME, lags, p=2, t_base=0.015)
-        assert rep.moment == 4.0
-        assert rep.admissible_exponent == pytest.approx(1.5, abs=4e-4)
-        assert rep.fitted_exponent >= rep.admissible_exponent - rep.slack
-        assert rep.passed
-
-    def test_flat_field_from_constant_kernel_passes(self):
-        basis = Basis(NEUMANN, 1, 16)
-        f = CovarianceSpec.constant(1, 1.0)
-        backend = make_backend(f, basis, seed=3)
-        model = ModelSpec(bc=NEUMANN, sigma=1.0)
-        cfg = SolverConfig(dt=1e-3, t_final=0.02)
-        ens = Ensemble.generate(model, cfg, basis, backend, n_paths=20)
-        ex = KernelExponents.biharmonic(1)
-        rep = increment_moment_scaling(ens, f, ex, 0,
-                                       np.array([2, 3]) * basis.spacing, p=1)
-        assert rep.fitted_exponent == math.inf
-        assert rep.passed
-
-    def test_inadmissible_kernel_refused(self, conv_ensemble):
-        ex = KernelExponents.biharmonic(5)
-        with pytest.raises(ValueError, match="no positive"):
-            increment_moment_scaling(conv_ensemble, CovarianceSpec.white(5), ex,
-                                     TIME, [2e-3, 3e-3], p=1)
-
-    def test_p_must_be_positive_integer(self, conv_ensemble):
-        ex = KernelExponents.biharmonic(1)
-        with pytest.raises(ValueError, match="positive integer"):
-            increment_moment_scaling(conv_ensemble, CovarianceSpec.white(1), ex,
-                                     TIME, [2e-3], p=0)
 
 
 class TestMomentTrack:
