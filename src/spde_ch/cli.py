@@ -548,10 +548,12 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     """Execute one command and return the manifest that was written.
 
     The validation report gates the run: violated hypotheses abort unless
-    force is set.  threads bounds the width of the thread pool that runs
-    the per-path work after the serial path loop (energy diagnostics of
-    simulate; tangents and Malliavin matrices of malliavin), one path per
-    task, so a single-path run gains nothing from it.  Outputs land in
+    force is set, and even then a model hypothesis raises the ValueError
+    of ModelSpec.validate.  threads bounds the width of the thread pool
+    that runs the per-path work after the serial path loop (energy
+    diagnostics of simulate; tangents and Malliavin matrices of
+    malliavin), one path per task, so a single-path run gains nothing
+    from it.  Outputs land in
     config.outdir; the manifest records the config (and its hash), library
     versions, and a sha256 per emitted file.
     """
@@ -617,7 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "serial path loop, at most one per path "
                             f"(fallback: ${THREADS_ENV})")
         p.add_argument("--force", action="store_true",
-                       help="run even when validation reports violations")
+                       help="run despite violated kernel, eps or q "
+                            "hypotheses (model hypotheses still refuse)")
     return parser
 
 

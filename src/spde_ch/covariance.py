@@ -501,16 +501,16 @@ class Rank1Gram(GramOperator):
 
 
 class DenseGram(GramOperator):
-    """Explicit (n_modes x n_modes) matrix with PSD repair on construction."""
+    """Explicit, exactly symmetric (n_modes x n_modes) matrix with PSD
+    repair on construction; held without a copy unless repaired."""
 
     kind = "dense"
 
     def __init__(self, basis, matrix):
         super().__init__(basis)
         Q = np.asarray(matrix, dtype=float)
-        # 0.5 * (Q + Q^T) bit for bit, with one (n, n) temporary
-        Q = Q + Q.T
-        Q *= 0.5
+        if not np.array_equal(Q, Q.T):
+            raise ValueError("Gram matrix must be exactly symmetric")
         w, V = np.linalg.eigh(Q)
         scale = max(1.0, float(np.abs(w).max()))
         self.min_eigenvalue = float(w.min())
@@ -616,9 +616,8 @@ class KroneckerMixtureGram(GramOperator):
         # = R[q, p, i, k] = R[p, q, k, i] bit for bit, and only q >= p and
         # i <= k are summed: row blocks [lo, hi) of the head hold
         # R[lo:hi, lo:] over the packed upper triangle of A_t, and Q is
-        # filled from them and mirrored.  This Q is exactly symmetric, and
-        # 0.5 * (Q + Q^T) would return every entry unchanged (x + x = 2x and
-        # 0.5 * 2x = x exactly), so it is not applied.
+        # filled from them and mirrored.  This Q is exactly symmetric, as
+        # DenseGram requires.
         rows, cols = np.triu_indices(M)
         P = len(rows)
         blocks, lo = [], 0

@@ -34,8 +34,8 @@ import numpy as np
 from .basis import Basis, axis_eigenfunctions, axis_product
 from .covariance import CovarianceSpec, small_ball_integral
 from .noise import NoiseBackend
-from .solver import (EXPONENTIAL_EULER, ModelSpec, SolverConfig, Trajectory,
-                     _check_problem, _coefficient_on_grid, _drift, _propagators,
+from .solver import (ModelSpec, SolverConfig, Trajectory, _check_problem,
+                     _coefficient_on_grid, _drift, _linear_propagate,
                      _scheme_update)
 
 #: Interior-margin proxy constant: evaluation points must keep a distance
@@ -159,8 +159,9 @@ class TangentState:
     D_{t_r, j} u(t0, .) / sqrt(dt) (the density of the Malliavin derivative
     against the step quadrature), for the thinned step indices r_indices.
     Rows with t_r >= t0 stay exactly zero (adaptedness).  leads stores the
-    same tangents propagated by the linear semigroup alone; the difference
-    is the nonlinear remainder entering the lower-bound term I4.
+    same tangents carried by the scheme's linear part alone
+    (solver._linear_propagate); the difference is the nonlinear remainder
+    entering the lower-bound term I4.
     """
 
     basis: Basis
@@ -177,11 +178,21 @@ class TangentState:
         return self.derivatives.shape[1]
 
 
-def _locate_time(times: np.ndarray, t: float) -> int:
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} was not recorded on the trajectory")
-    return idx
+def _trajectory_clock(traj: Trajectory, t0):
+    """(dt, t0, index of t0) of a uniformly recorded trajectory, t0 being
+    its last recorded time when None."""
+    times = traj.times
+    if len(times) < 2:
+        raise ValueError("trajectory is empty")
+    dt = float(times[1] - times[0])
+    if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-9):
+        raise ValueError("the trajectory must be recorded at uniform steps")
+    if t0 is None:
+        t0 = float(times[-1])
+    n_to = int(np.argmin(np.abs(times - t0)))
+    if abs(times[n_to] - t0) > 1e-9 * max(1.0, abs(t0)):
+        raise ValueError(f"time {t0} was not recorded on the trajectory")
+    return dt, t0, n_to
 
 
 def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
@@ -204,8 +215,9 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     Raises ValueError before allocating when derivatives and leads
     together would exceed MAX_TANGENT_BYTES.
 
-    Requires a trajectory recorded at every step (store_every == 1) that
-    neither exploded nor crossed its cutoff level before t0.
+    Requires a trajectory recorded at every step (store_every == 1), by
+    the scheme and step size of config, that neither exploded nor crossed
+    its cutoff level before t0.
     """
     _check_problem(model, basis, backend=backend, needs_backend=True)
     if thin < 1 or int(thin) != thin:
@@ -218,11 +230,11 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
         raise ValueError("trajectory exploded; tangents are undefined")
 
     dt = config.dt
-    if abs((traj.times[1] - traj.times[0]) - dt) > 1e-12:
-        raise ValueError("trajectory step size does not match config.dt")
-    if t0 is None:
-        t0 = float(traj.times[-1])
-    n_to = _locate_time(traj.times, t0)
+    traj_dt, t0, n_to = _trajectory_clock(traj, t0)
+    if abs(traj_dt - dt) > 1e-12 or traj.scheme != config.scheme:
+        raise ValueError(
+            f"config (scheme {config.scheme!r}, dt={dt}) does not match the "
+            f"trajectory (scheme {traj.scheme!r}, dt={traj_dt})")
     if n_to < 1:
         raise ValueError("t0 must be at least one step into the trajectory")
     if traj.stop_time is not None and traj.stop_time < t0 - 1e-12:
@@ -247,7 +259,6 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 
     cols = _direction_matrix(backend)
     update, noise_w = _scheme_update(basis, dt, config.scheme)
-    lam2 = basis.biharmonic_eigenvalues
     grid = basis.grid()
     grid.flags.writeable = False
     col_vals = None if sigma0 is not None else basis.inverse_transform(cols)
@@ -321,12 +332,8 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                 init = basis.transform(
                     _coefficient_on_grid(model.sigma, t, grid, u_vals) * col_vals)
             np.multiply(init, noise_w, out=D[row])
-            age = t0 - traj.times[m + 1]
-            if config.scheme == EXPONENTIAL_EULER:
-                np.multiply(np.exp(-lam2 * age), D[row], out=leads[row])
-            else:
-                np.divide(D[row], (1.0 + lam2 * dt) ** round(age / dt),
-                          out=leads[row])
+            _linear_propagate(basis, dt, config.scheme, D[row],
+                              t0 - traj.times[m + 1], out=leads[row])
             active_rows = row + 1
 
     return TangentState(basis=basis, r_indices=r_indices, r_times=r_times,
@@ -427,30 +434,22 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
                         c2: float = C2_MARGIN) -> DecompositionTerms:
     """Evaluate I1..I4 of the short-window lower bound for <Gamma v, v>.
 
-    The kernel rows use the scheme's own propagator and noise scale, so
-    for a linear model with constant amplitude the diagonal masses
-    telescope to the exact Ornstein-Uhlenbeck increments over the window
-    and i1 + i2 reproduces <Gamma v, v>.  Preconditions: tau in
-    (0, t0/2], and every point at distance >= 2 c2 tau^{1/4} from the
-    boundary (the interior margin the bound needs).
+    The kernel rows are the noise scale carried by the linear propagator
+    of the scheme that produced traj, so for a linear model with constant
+    amplitude i1 + i2 reproduces the window part of <Gamma v, v> under
+    either scheme.  Preconditions: tau in (0, t0/2], and every point at
+    distance >= 2 c2 tau^{1/4} from the boundary (the interior margin the
+    bound needs).
     """
     _check_problem(model, basis)
     pts = _check_points(basis, points)
     l = len(pts)
-    times = np.asarray(traj.times, dtype=float)
-    if len(times) < 2:
-        raise ValueError("trajectory is empty")
-    dt = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-9):
-        raise ValueError("decomposition needs a uniformly recorded trajectory")
-
     if tangent is not None:
         if t0 is not None and abs(t0 - tangent.t0) > 1e-12:
             raise ValueError(f"t0={t0} disagrees with tangent.t0={tangent.t0}")
         t0 = tangent.t0
-    elif t0 is None:
-        t0 = float(times[-1])
-    n_to = _locate_time(times, t0)
+    dt, t0, n_to = _trajectory_clock(traj, t0)
+    times = traj.times
 
     if not 0.0 < tau <= t0 / 2 + 1e-12:
         raise ValueError(f"tau must lie in (0, t0/2], got {tau} with t0={t0}")
@@ -471,11 +470,9 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     if v.shape != (l,):
         raise ValueError(f"v must have shape ({l},)")
 
-    _, _, noise_w = _propagators(basis, dt)
-    lam2 = basis.biharmonic_eigenvalues
+    _, noise_w = _scheme_update(basis, dt, traj.scheme)
     steps = np.arange(m0, n_to)
-    ages = t0 - times[steps + 1]
-    E = np.exp(-np.multiply.outer(ages, lam2)) * noise_w
+    E = _linear_propagate(basis, dt, traj.scheme, noise_w, t0 - times[steps + 1])
 
     sigma0 = model.constant_sigma
     if sigma0 is not None:

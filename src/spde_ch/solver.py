@@ -47,14 +47,6 @@ BLOWUP_THRESHOLD = 1e12
 _POTENTIAL_SLAB = 2**17
 
 
-class BlowUpError(RuntimeError):
-    """Raised when a state handed to step() is already non-finite."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
-
 def truncation_weight(r, n):
     """Smooth cutoff K_n: 1 on [0, n], 0 on [n+1, inf), cubic in between.
 
@@ -216,7 +208,8 @@ class Trajectory:
 
     The noise increments are not stored: the stream is counter-based, so
     backend.sample_coefficients(dt, step=m, path=path) redraws the
-    increment of step m bit for bit.
+    increment of step m bit for bit.  scheme names the time stepper that
+    produced the states, which the Malliavin layer linearises.
     """
 
     times: np.ndarray
@@ -226,6 +219,7 @@ class Trajectory:
     stop_time: float = None       # first time ||u||_q reached the cutoff
     exploded: bool = False
     path: int = 0
+    scheme: str = EXPONENTIAL_EULER
 
     @property
     def final(self):
@@ -275,6 +269,23 @@ def _scheme_update(basis: Basis, dt: float, scheme: str = EXPONENTIAL_EULER):
             out /= denominator
             return out
     return update, noise_w
+
+
+def _linear_propagate(basis: Basis, dt: float, scheme: str, x, ages, out=None):
+    """x carried by the scheme's linear part over ages (n = age / dt steps).
+
+    exp(-lambda^2 age) x under exponential Euler, x / (1 + lambda^2 dt)^n
+    under semi-implicit: the n-step propagator of either scheme without a
+    drift.  ages is a scalar or an array; the factor has shape
+    ages.shape + basis.shape and broadcasts against x.
+    """
+    lam2 = basis.biharmonic_eigenvalues
+    if scheme == EXPONENTIAL_EULER:
+        return np.multiply(np.exp(-np.multiply.outer(ages, lam2)), x, out=out)
+    steps = np.rint(np.asarray(ages) / dt).astype(int)
+    denominator = 1.0 + lam2 * dt
+    powers = np.stack([denominator ** int(n) for n in steps.flat])
+    return np.divide(x, powers.reshape(steps.shape + lam2.shape), out=out)
 
 
 def _reaction(coeffs_tuple, u):
@@ -398,22 +409,6 @@ def _check_problem(model: ModelSpec, basis: Basis, u0=None, backend=None,
     return u
 
 
-def step(coeffs, t, model: ModelSpec, config: SolverConfig, basis: Basis,
-         increment=None):
-    """Advance one step from time t; returns (new_coeffs, weight, norm).
-
-    increment carries the raw noise coefficients (law N(0, dt Q)); pass
-    None for a deterministic step.  The returned norm is ||u(t)||_q of the
-    *incoming* state, which drives the cutoff weight.
-    """
-    coeffs = _check_problem(model, basis, coeffs)
-    if not np.all(np.isfinite(coeffs)):
-        raise BlowUpError(f"non-finite state entering step at t={t}", time=t)
-    if not model.has_noise:
-        increment = None
-    return _stepper(model, config, basis)(coeffs, t, increment, out=coeffs)
-
-
 def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
              backend: NoiseBackend = None, u0=None, path: int = 0,
              covariance: CovarianceSpec = None, force: bool = False) -> Trajectory:
@@ -465,7 +460,8 @@ def simulate(model: ModelSpec, config: SolverConfig, basis: Basis,
 
     return Trajectory(times=np.asarray(times), coeffs=np.asarray(states),
                       norms=np.asarray(norms), weights=np.asarray(weights),
-                      stop_time=stop_time, exploded=exploded, path=path)
+                      stop_time=stop_time, exploded=exploded, path=path,
+                      scheme=config.scheme)
 
 
 @dataclass(eq=False)
@@ -536,7 +532,8 @@ def picard_solve(model: ModelSpec, config: SolverConfig, basis: Basis,
                       for j in range(n_steps + 1)])
     traj = Trajectory(times=times, coeffs=np.asarray(current), norms=norms,
                       weights=weights_last.copy(),
-                      stop_time=None, exploded=False, path=path)
+                      stop_time=None, exploded=False, path=path,
+                      scheme=config.scheme)
     return PicardResult(trajectory=traj, deltas=np.asarray(deltas),
                         converged=converged, iterations=iterations)
 

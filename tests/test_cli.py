@@ -615,6 +615,23 @@ class TestMain:
         capsys.readouterr()
         assert main(["simulate", "--config", path, "--force"]) == 0
 
+    @pytest.mark.parametrize("bc, reaction, hypothesis", [
+        ("dirichlet", [1.0, 0.0, -1.0, 0.5], "reaction-zero-at-origin"),
+        ("neumann", [0.0, 0.0, -1.0, 0.0], "reaction-leading-coefficient")])
+    def test_force_keeps_model_hypotheses(self, tmp_path, capsys, bc,
+                                          reaction, hypothesis):
+        data = base_config(
+            tmp_path, basis={"bc": bc, "dim": 1, "modes_per_axis": 16},
+            model={"reaction": reaction, "sigma": 0.1})
+        path = write_config(tmp_path, data)
+        assert main(["simulate", "--config", path]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert [v["hypothesis"] for v in error["violations"]] == [hypothesis]
+        assert main(["simulate", "--config", path, "--force"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert not os.path.exists(tmp_path / "out" / "paths.csv")
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
         assert main(["green", "--config", path]) == 2

@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 
 import spde_ch
 
@@ -81,8 +80,8 @@ def test_eigenbasis_facts_live_in_basis_only():
     assert owners == {"basis.py"}
 
 
-#: public definitions that neither ``__all__`` nor any other package code
-#: names, each kept on purpose
+#: public definitions that are neither in ``__all__`` nor read by any
+#: package code, each kept on purpose
 UNREFERENCED_ALLOWED = {
     # the README's documented reader for snapshots.bin
     "cli.read_snapshot",
@@ -93,34 +92,72 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _identifiers(tree):
-    """Every name a tree reads: bare names, attributes and imported names."""
+def _reads(tree, modules):
+    """(module, name) of each package definition that a module reads from
+    another one: imported by name, or read as module.name."""
+    bound = {}      # local name -> the package module it is bound to
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("spde_ch").lstrip(".")
+            for alias in node.names:
+                if source in modules:
+                    yield source, alias.name
+                elif not source and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "spde_ch" and module in modules and alias.asname:
+                    bound[alias.asname] = module
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            yield bound[node.value.id], node.attr
+
+
+def _named_outside(tree, definition):
+    """Whether the module names a definition anywhere outside its body."""
+    inside = {id(node) for node in ast.walk(definition)}
+    return any(isinstance(node, ast.Name) and node.id == definition.name
+               and id(node) not in inside for node in ast.walk(tree))
+
+
+def _unreferenced(sources, exported):
+    """module.name of each public module-level function or class that is
+    not in exported and that no module reads: no other module imports it
+    by name or reads it as module.name, and its own module does not name
+    it outside its body."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = {pair for tree in trees.values() for pair in _reads(tree, trees)}
+    return {f"{module}.{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and (module, node.name) not in reads
+            and not _named_outside(tree, node)}
+
+
+def test_the_unused_definition_rule_reads_names_not_spellings():
+    """A parameter, keyword or attribute that merely shares a definition's
+    name does not keep it alive; the three ways of reading it do."""
+    sources = {
+        "solver": "def step(): pass\ndef kept(): pass\nkept()\n"
+                  "def inner():\n    inner()\n",
+        "noise": "def draw(step):\n    return step.step\n",
+        "cli": "from .solver import kept\nfrom . import solver as s\n"
+               "s.inner\nsolver.step\n",
+    }
+    assert _unreferenced(sources, ()) == {"noise.draw", "solver.step"}
+    assert _unreferenced(sources, ("draw", "step")) == set()
 
 
 def test_every_public_definition_is_exported_or_used():
-    """A public module-level function or class is in ``__all__`` or is named
+    """A public module-level function or class is in ``__all__`` or is read
     by other package code; a checker that no run reads gets deleted, not
     kept alive by its tests."""
-    trees = {}
+    sources = {}
     for name in sorted(os.listdir(PKG)):
         if name.endswith(".py"):
             with open(os.path.join(PKG, name)) as fh:
-                trees[name[:-3]] = ast.parse(fh.read())
-    uses = Counter(i for tree in trees.values() for i in _identifiers(tree))
-    unreferenced = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in spde_ch.__all__):
-                own = sum(i == node.name for i in _identifiers(node))
-                if uses[node.name] == own:
-                    unreferenced.add(f"{module}.{node.name}")
-    assert unreferenced == UNREFERENCED_ALLOWED
+                sources[name[:-3]] = fh.read()
+    assert _unreferenced(sources, spde_ch.__all__) == UNREFERENCED_ALLOWED

@@ -531,6 +531,13 @@ class TestGramMatrix:
         assert np.linalg.eigvalsh(op.matrix).min() >= 0.0
         assert op.min_eigenvalue == pytest.approx(-1e-6)
 
+    def test_non_symmetric_matrix_refused(self):
+        basis = Basis(NEUMANN, 1, 3)
+        M = np.eye(3)
+        M[0, 2] = 1e-17
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            DenseGram(basis, M)
+
     def test_pre_clip_eigenvalues_within_tolerance(self):
         for B in (0.3, 0.6, 0.9):
             basis = Basis(NEUMANN, 1, 12)

@@ -1,7 +1,7 @@
 """Golden bits of the solver and tangent hot paths.
 
-sha256 of the arrays returned by ``simulate``, repeated ``step`` calls,
-``picard_solve``, ``deterministic_convolution``, ``energy_diagnostics`` and
+sha256 of the arrays returned by ``simulate``, ``picard_solve``,
+``deterministic_convolution``, ``energy_diagnostics`` and
 ``tangent_propagate``/``malliavin_matrix``, recorded before their loops were
 rewritten to update in place.  Compared exactly: a changed digest means a
 changed floating-point value.  The noise backends are white, diagonal or a
@@ -27,7 +27,7 @@ from spde_ch.noise import make_backend
 from spde_ch.solver import (EXPONENTIAL_EULER, SEMI_IMPLICIT, ModelSpec,
                             SolverConfig, Trajectory,
                             deterministic_convolution,
-                            energy_diagnostics, picard_solve, simulate, step)
+                            energy_diagnostics, picard_solve, simulate)
 
 
 def _digest(arr):
@@ -118,21 +118,6 @@ def _cholesky_case(bc):
             "weights": traj.weights}
 
 
-def _step_case(bc, scheme):
-    basis = Basis(bc, 2, 5)
-    backend = _white(basis, 8)
-    model = _model(bc, 2, "callable")
-    config = SolverConfig(dt=2e-3, t_final=0.02, scheme=scheme, truncation=1.0)
-    u = _state(basis, 4, 2.0 if bc == NEUMANN else 5.0)
-    out = []
-    for j in range(config.n_steps):
-        inc = backend.sample_coefficients(config.dt, step=j, path=1)
-        u, weight, norm = step(u, j * config.dt, model, config, basis,
-                               increment=inc)
-        out.append(np.append(u.reshape(-1), [weight, norm]))
-    return {"states": np.stack(out)}
-
-
 def _picard_case(bc):
     basis = Basis(bc, 2, 5)
     model = ModelSpec(bc=bc, reaction=(0.5, 0.0, -0.2, 0.0), sigma=_sigma,
@@ -177,8 +162,6 @@ for _bc in (NEUMANN, DIRICHLET):
         for _sig in ("scalar", "callable"):
             SOLVER_CASES[f"simulate/{_bc}/{_scheme}/{_sig}"] = (
                 lambda bc=_bc, s=_scheme, g=_sig: _simulate_case(bc, s, g))
-        SOLVER_CASES[f"step/{_bc}/{_scheme}"] = (
-            lambda bc=_bc, s=_scheme: _step_case(bc, s))
     SOLVER_CASES[f"simulate/{_bc}/diagonal"] = lambda bc=_bc: _diagonal_case(bc)
     SOLVER_CASES[f"simulate/{_bc}/cholesky"] = lambda bc=_bc: _cholesky_case(bc)
     SOLVER_CASES[f"picard/{_bc}"] = lambda bc=_bc: _picard_case(bc)
@@ -418,14 +401,6 @@ GOLDEN = {
         "44ba8f22308f521c7b83c0fdb05145a34c389b861f1a8123b32162a4bf8235c8",
     "simulate/neumann/semi-implicit/scalar/weights":
         "2ff61a3addea992f29cff70203820cf70f8f7f6a334f1c6466872b3eae2415d4",
-    "step/dirichlet/exponential-euler/states":
-        "52e7d817f4e03676bdb1adc6932b5d63fc60279fe3b2f437d17e5a1ad3aa411c",
-    "step/dirichlet/semi-implicit/states":
-        "e354c10f051f39f32d5bd889dc317f6f597f780cb9fad062a40e521f83c12e3a",
-    "step/neumann/exponential-euler/states":
-        "25248cf87e5c7da202d6cd0c022cd1aba25bf18aedc965c0a354e501084d1051",
-    "step/neumann/semi-implicit/states":
-        "73793b0926f9ef9b82c6620fef3d6596505ae677f65df012577037389149dea3",
     "tangent/dirichlet/cholesky/derivatives":
         "347529b2672b472901e2093736f1651c0f36aefa9c97eaa088ec992ba9d11382",
     "tangent/dirichlet/cholesky/gamma":

@@ -1,6 +1,7 @@
 """Tangent propagation, Malliavin matrices and the density criterion."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,8 @@ from spde_ch.malliavin import (ABSOLUTELY_CONTINUOUS, DEGENERATE,
                                malliavin_matrix, tangent_propagate,
                                thinning_check)
 from spde_ch.noise import make_backend
-from spde_ch.solver import ModelSpec, SolverConfig, _propagators, simulate
+from spde_ch.solver import (EXPONENTIAL_EULER, SEMI_IMPLICIT, ModelSpec,
+                            SolverConfig, _propagators, simulate)
 
 
 def neumann_basis(M=32):
@@ -49,15 +51,20 @@ class Nudged:
         return inc + self.shift if (step, path) == self.key else inc
 
 
-@pytest.fixture(scope="module")
-def additive_run():
+@functools.cache
+def _additive_run(scheme):
     basis = neumann_basis(32)
     backend = make_backend(CovarianceSpec.white(1), basis, seed=3)
     model = ModelSpec(bc=NEUMANN, sigma=1.3)
-    config = SolverConfig(dt=0.0025, t_final=0.1)
+    config = SolverConfig(dt=0.0025, t_final=0.1, scheme=scheme)
     traj = simulate(model, config, basis, backend=backend)
     tang = tangent_propagate(traj, model, config, basis, backend)
     return basis, backend, model, config, traj, tang
+
+
+@pytest.fixture(scope="module")
+def additive_run():
+    return _additive_run(EXPONENTIAL_EULER)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +127,15 @@ class TestTangentPropagate:
         expect = 0.7 * noise_w * cols / (1.0 + lam2 * config.dt) ** 2
         got = tang.derivatives[2]
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_scheme_or_step_unlike_the_trajectory_refused(self, additive_run):
+        # the tangent linearises the scheme that produced the states
+        basis, backend, model, config, traj, _ = additive_run
+        for other in (SolverConfig(dt=config.dt, t_final=config.t_final,
+                                   scheme=SEMI_IMPLICIT),
+                      SolverConfig(dt=config.dt / 2, t_final=config.t_final)):
+            with pytest.raises(ValueError, match="does not match the trajectory"):
+                tangent_propagate(traj, model, other, basis, backend)
 
     def test_thinning_keeps_every_kth_row(self, additive_run):
         basis, backend, model, config, traj, tang = additive_run
@@ -402,10 +418,12 @@ class TestMalliavinMatrix:
 
 
 class TestDecompositionTerms:
-    def test_additive_window_identity(self, additive_run):
-        # over [t0 - tau, t0) the kernel masses telescope to the exact
-        # tangent quadrature: i1 + i2 equals <Gamma_window v, v>
-        basis, backend, model, config, traj, tang = additive_run
+    @pytest.mark.parametrize("scheme", [EXPONENTIAL_EULER, SEMI_IMPLICIT])
+    def test_additive_window_identity(self, scheme):
+        # over [t0 - tau, t0) the kernel rows, carried by the trajectory's
+        # own scheme, give the exact tangent quadrature: i1 + i2 equals
+        # <Gamma_window v, v>
+        basis, backend, model, config, traj, tang = _additive_run(scheme)
         pts = np.array([[0.8], [1.9], [math.pi / 2]])
         dec = decomposition_terms(traj, model, basis, backend.gram, pts,
                                   tau=0.05, tangent=tang)

@@ -169,8 +169,9 @@ class TestSamplingLaws:
         basis = Basis(NEUMANN, 1, 4)
         rng = np.random.default_rng(5)
         V0, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        Q = (V0 * [2.0, 1.0, 0.5, -1e-6]) @ V0.T
         with pytest.warns(UserWarning, match="clip"):
-            gram = DenseGram(basis, (V0 * [2.0, 1.0, 0.5, -1e-6]) @ V0.T)
+            gram = DenseGram(basis, 0.5 * (Q + Q.T))
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",

@@ -16,7 +16,6 @@ from spde_ch.greens import KernelExponents
 from spde_ch.noise import make_backend
 from spde_ch.solver import (
     BLOWUP_THRESHOLD,
-    BlowUpError,
     EXPONENTIAL_EULER,
     ModelSpec,
     PicardResult,
@@ -30,7 +29,6 @@ from spde_ch.solver import (
     energy_diagnostics,
     picard_solve,
     simulate,
-    step,
     truncation_weight,
 )
 
@@ -119,14 +117,12 @@ class TestSchemeUpdate:
                           sigma=lambda t, x, u: 0.2 + 0.1 * u)
         cfg = SolverConfig(dt=1e-3, t_final=0.005)
         u0 = low_mode_state(basis)
-        inc = backend.sample_coefficients(cfg.dt, step=0)
         field = basis.inverse_transform(u0)
-        kept = u0.tobytes(), inc.tobytes(), field.tobytes()
+        kept = u0.tobytes(), field.tobytes()
         simulate(model, cfg, basis, backend=backend, u0=u0)
-        step(u0, 0.0, model, cfg, basis, increment=inc)
         picard_solve(model, cfg, basis, backend=backend, u0=u0)
         deterministic_convolution(basis, field, t=0.1, n_steps=4)
-        assert (u0.tobytes(), inc.tobytes(), field.tobytes()) == kept
+        assert (u0.tobytes(), field.tobytes()) == kept
 
 
 class TestResultRecords:
@@ -142,48 +138,65 @@ class TestResultRecords:
             assert len(weakref.WeakSet([record, twin])) == 2
         assert isinstance(result, PicardResult)
 
+    @pytest.mark.parametrize("scheme", [EXPONENTIAL_EULER, SEMI_IMPLICIT])
+    def test_runs_record_their_scheme(self, scheme):
+        basis = neumann_basis(8)
+        cfg = SolverConfig(dt=1e-3, t_final=0.003, scheme=scheme)
+        u0 = low_mode_state(basis)
+        assert simulate(cahn_hilliard(), cfg, basis, u0=u0).scheme == scheme
+        result = picard_solve(cahn_hilliard(), cfg, basis, u0=u0)
+        assert result.trajectory.scheme == scheme
+
+
+class Shifted:
+    """A backend whose step m draws step m + offset of the base backend."""
+
+    def __init__(self, base, offset):
+        self.base, self.offset = base, offset
+
+    def sample_coefficients(self, dt, step, path=0):
+        return self.base.sample_coefficients(dt, step=step + self.offset,
+                                             path=path)
+
 
 class TestStepBasics:
+    """One scheme step, as simulate runs it with t_final = dt."""
+
     def test_pure_decay_single_step(self):
         basis = neumann_basis()
         model = ModelSpec(bc=NEUMANN)
         cfg = SolverConfig(dt=0.02, t_final=0.02)
         u0 = np.arange(1.0, 17.0)
-        new, weight, norm = step(u0, 0.0, model, cfg, basis)
-        assert weight == 1.0
+        traj = simulate(model, cfg, basis, u0=u0)
+        assert traj.weights.tolist() == [1.0]
         np.testing.assert_array_equal(
-            new, np.exp(-basis.biharmonic_eigenvalues * 0.02) * u0)
-        assert norm == pytest.approx(basis.lq_norm(basis.inverse_transform(u0), 2.0))
-
-    def test_non_finite_input_raises_blowup(self):
-        basis = neumann_basis()
-        cfg = SolverConfig(dt=0.01, t_final=0.01)
-        with pytest.raises(BlowUpError) as err:
-            step(np.full(16, np.nan), 0.7, ModelSpec(bc=NEUMANN), cfg, basis)
-        assert err.value.time == 0.7
+            traj.final, np.exp(-basis.biharmonic_eigenvalues * 0.02) * u0)
+        assert traj.norms[0] == pytest.approx(
+            basis.lq_norm(basis.inverse_transform(u0), 2.0))
 
     def test_reaction_keeps_mode_zero_fixed(self):
         basis = neumann_basis()
         cfg = SolverConfig(dt=1e-3, t_final=1e-3)
         rng = np.random.default_rng(0)
         u0 = rng.standard_normal(16) / (1 + np.arange(16.0)) ** 2
-        new, _, _ = step(u0, 0.0, cahn_hilliard(), cfg, basis)
-        assert new[0] == u0[0]  # bit-exact: Laplace kills the mean mode
+        traj = simulate(cahn_hilliard(), cfg, basis, u0=u0)
+        assert traj.final[0] == u0[0]  # bit-exact: Laplace kills the mean mode
 
     def test_boundary_condition_mismatch_raises(self):
         # r0 = 0.5 is a valid Neumann model but has no Dirichlet meaning
         model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.5))
         cfg = SolverConfig(dt=1e-3, t_final=1e-3)
         with pytest.raises(ValueError, match="does not match basis bc"):
-            step(np.zeros(8), 0.0, model, cfg, Basis(DIRICHLET, 1, 8))
+            simulate(model, cfg, Basis(DIRICHLET, 1, 8), u0=np.zeros(8))
 
     def test_semi_implicit_step_formula(self):
         basis = neumann_basis()
         cfg = SolverConfig(dt=0.05, t_final=0.05, scheme=SEMI_IMPLICIT)
         u0 = np.ones(16)
-        new, _, _ = step(u0, 0.0, ModelSpec(bc=NEUMANN), cfg, basis)
+        traj = simulate(ModelSpec(bc=NEUMANN), cfg, basis, u0=u0)
         np.testing.assert_allclose(
-            new, u0 / (1 + basis.biharmonic_eigenvalues * 0.05), rtol=1e-15)
+            traj.final, u0 / (1 + basis.biharmonic_eigenvalues * 0.05),
+            rtol=1e-15)
 
     def test_exponential_euler_update_bitwise_on_stacked_states(self):
         basis = Basis(DIRICHLET, 2, 8)
@@ -198,18 +211,20 @@ class TestStepBasics:
 
     @pytest.mark.parametrize("scheme", ["exponential-euler", SEMI_IMPLICIT])
     def test_repeated_steps_reproduce_simulate_bit_for_bit(self, scheme):
+        # the model does not read t, so step j is a one-step run from the
+        # state at t_j that draws increment j
         basis = neumann_basis()
         backend = make_backend(CovarianceSpec.riesz(1, B=0.5), basis, seed=5)
         model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0), sigma=0.3)
         cfg = SolverConfig(dt=1e-3, t_final=0.02, scheme=scheme, truncation=4.0)
-        u0 = low_mode_state(basis)
-        traj = simulate(model, cfg, basis, backend=backend, u0=u0, path=2)
-        u = u0
+        one = SolverConfig(dt=1e-3, t_final=1e-3, scheme=scheme, truncation=4.0)
+        traj = simulate(model, cfg, basis, backend=backend,
+                        u0=low_mode_state(basis), path=2)
         for j in range(cfg.n_steps):
-            inc = backend.sample_coefficients(cfg.dt, step=j, path=2)
-            u, weight, _ = step(u, j * cfg.dt, model, cfg, basis, increment=inc)
-            assert weight == traj.weights[j]
-        assert u.tobytes() == traj.final.tobytes()
+            step = simulate(model, one, basis, backend=Shifted(backend, j),
+                            u0=traj.coeffs[j], path=2)
+            assert step.weights[0] == traj.weights[j]
+            assert step.final.tobytes() == traj.coeffs[j + 1].tobytes()
 
     def test_callable_coefficients_build_the_grid_once(self, monkeypatch):
         basis = Basis(NEUMANN, 2, 8)
@@ -229,14 +244,8 @@ class TestStepBasics:
             return grid(self)
 
         monkeypatch.setattr(Basis, "grid", counted)
-        traj = simulate(model, cfg, basis, backend=backend, u0=u0, path=1)
+        simulate(model, cfg, basis, backend=backend, u0=u0, path=1)
         assert len(calls) == 1
-        u = u0
-        for j in range(cfg.n_steps):
-            inc = backend.sample_coefficients(cfg.dt, step=j, path=1)
-            u, weight, _ = step(u, j * cfg.dt, model, cfg, basis, increment=inc)
-            assert weight == traj.weights[j]
-        assert u.tobytes() == traj.final.tobytes()
 
 
 class TestLinearAdditiveVariance:
