@@ -28,6 +28,7 @@ with a closed-form check of the small-ball limit condition.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,11 @@ C2_MARGIN = 0.25
 #: Bytes of refined-grid values per slice of the tangent block.  Each
 #: step pushes the stacked tangent fields through the linearized scheme
 #: in slices of this size, so its temporaries stay near this many bytes
-#: whatever the number of rows and directions.
+#: whatever the number of rows and directions.  decomposition_terms forms
+#: the I4 remainder in slabs of about this many bytes of tangent rows.
 TANGENT_SLICE_BYTES = 2**20
 
-#: Cap on the bytes of the returned tangent arrays (derivatives + leads).
+#: Cap on the bytes of the returned tangent derivatives.
 MAX_TANGENT_BYTES = 2**32
 
 DEGENERATE = "degenerate"
@@ -158,24 +160,88 @@ class TangentState:
     derivatives[r, j] holds the coefficient tensor of
     D_{t_r, j} u(t0, .) / sqrt(dt) (the density of the Malliavin derivative
     against the step quadrature), for the thinned step indices r_indices.
-    Rows with t_r >= t0 stay exactly zero (adaptedness).  leads stores the
-    same tangents carried by the scheme's linear part alone
-    (solver._linear_propagate); the difference is the nonlinear remainder
-    entering the lower-bound term I4.
+    Rows with t_r >= t0 stay exactly zero (adaptedness).  MAX_TANGENT_BYTES
+    caps the bytes of derivatives, the one stored array of that size; the
+    factor columns that seed each row, and their grid values under a
+    callable sigma, are cached, one row's worth each.
+    The trajectory, model, config and backend it was propagated from are
+    kept by reference, so any row of the leads (the same tangents carried
+    by the scheme's linear part alone, solver._linear_propagate) is
+    rebuilt on demand by lead_rows; derivatives - leads is the nonlinear
+    remainder entering the lower-bound term I4.
     """
 
     basis: Basis
     r_indices: np.ndarray
     r_times: np.ndarray
     derivatives: np.ndarray
-    leads: np.ndarray
     t0: float
     dt: float
     thin: int
+    trajectory: Trajectory
+    model: ModelSpec
+    config: SolverConfig
+    backend: NoiseBackend
 
     @property
     def n_directions(self):
         return self.derivatives.shape[1]
+
+    @cached_property
+    def _seeds(self):
+        """(factor columns, their grid values or None, read-only grid,
+        noise_w): what every row's initial value is built from."""
+        cols = _direction_matrix(self.backend)
+        grid = self.basis.grid()
+        grid.flags.writeable = False
+        col_vals = None
+        if self.model.constant_sigma is None:
+            col_vals = self.basis.inverse_transform(cols)
+        _, noise_w = _scheme_update(self.basis, self.dt, self.config.scheme)
+        return cols, col_vals, grid, noise_w
+
+    def _row_init(self, m, u_vals=None, out=None):
+        """Initial value of the tangents started at step m: sigma(u_m)
+        Q^{1/2} e_j times the noise scale, for every direction j.  u_vals
+        are the grid values of u_m when the caller has them."""
+        cols, col_vals, grid, noise_w = self._seeds
+        sigma0 = self.model.constant_sigma
+        if sigma0 is not None:
+            init = np.multiply(sigma0, cols, out=out)
+        else:
+            if u_vals is None:
+                u_vals = self.basis.inverse_transform(
+                    self.trajectory.coeffs[m])
+            init = self.basis.transform(_coefficient_on_grid(
+                self.model.sigma, self.trajectory.times[m], grid, u_vals)
+                * col_vals)
+        return np.multiply(init, noise_w, out=init if out is None else out)
+
+    def lead_rows(self, rows, out=None) -> np.ndarray:
+        """The leads of derivatives[rows] (rows a slice or index array),
+        rebuilt from the rows' initial values, zero where t_r >= t0.  Each
+        row's bits are the same whichever rows are asked for together.
+        Written to out when given, which must have the shape of
+        derivatives[rows]."""
+        rows = np.arange(len(self.r_indices))[rows]
+        if out is None:
+            out = np.empty((len(rows),) + self.derivatives.shape[1:])
+        times = self.trajectory.times
+        _, _, n_to = _trajectory_clock(self.trajectory, self.t0)
+        for a, row in enumerate(rows):
+            m = int(self.r_indices[row])
+            if m < n_to:
+                self._row_init(m, out=out[a])
+                _linear_propagate(self.basis, self.dt, self.config.scheme,
+                                  out[a], self.t0 - times[m + 1], out=out[a])
+            else:
+                out[a] = 0.0
+        return out
+
+    @property
+    def leads(self) -> np.ndarray:
+        """Every lead row, rebuilt: a new array the size of derivatives."""
+        return self.lead_rows(slice(None))
 
 
 def _trajectory_clock(traj: Trajectory, t0):
@@ -212,8 +278,8 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 
     Each step advances the stacked tangent fields in slices of about
     TANGENT_SLICE_BYTES of refined-grid values, written back in place.
-    Raises ValueError before allocating when derivatives and leads
-    together would exceed MAX_TANGENT_BYTES.
+    Raises ValueError before allocating when the derivatives would exceed
+    MAX_TANGENT_BYTES; the leads are not stored (TangentState.lead_rows).
 
     Requires a trajectory recorded at every step (store_every == 1), by
     the scheme and step size of config, that neither exploded nor crossed
@@ -249,22 +315,20 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     r_indices = np.arange(0, n_total, thin)
     r_times = traj.times[r_indices]
     n_dir = backend.n_directions
-    nbytes = 2 * len(r_indices) * n_dir * basis.n_modes * 8
+    nbytes = len(r_indices) * n_dir * basis.n_modes * 8
     if nbytes > MAX_TANGENT_BYTES:
         raise ValueError(
-            f"tangents need {nbytes} bytes ({len(r_indices)} steps x {n_dir} "
-            f"directions x {basis.n_modes} modes, derivatives and leads), "
-            f"above the cap of {MAX_TANGENT_BYTES} bytes; raise thin to keep "
-            "fewer steps")
-
-    cols = _direction_matrix(backend)
-    update, noise_w = _scheme_update(basis, dt, config.scheme)
-    grid = basis.grid()
-    grid.flags.writeable = False
-    col_vals = None if sigma0 is not None else basis.inverse_transform(cols)
+            f"tangent derivatives need {nbytes} bytes ({len(r_indices)} steps "
+            f"x {n_dir} directions x {basis.n_modes} modes), above the cap of "
+            f"{MAX_TANGENT_BYTES} bytes; raise thin to keep fewer steps")
 
     D = np.zeros((len(r_indices),) + (n_dir,) + basis.shape)
-    leads = np.zeros_like(D)
+    state = TangentState(basis=basis, r_indices=r_indices, r_times=r_times,
+                         derivatives=D, t0=float(t0), dt=dt, thin=thin,
+                         trajectory=traj, model=model, config=config,
+                         backend=backend)
+    update, _ = _scheme_update(basis, dt, config.scheme)
+    _, _, grid, noise_w = state._seeds
     refined = (2 * basis.modes_per_axis) ** basis.dim
     per_slice = max(1, TANGENT_SLICE_BYTES // (8 * refined))
 
@@ -326,19 +390,10 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
 
         row = row_of.get(m)
         if row is not None:
-            if sigma0 is not None:
-                init = np.multiply(sigma0, cols, out=D[row])
-            else:
-                init = basis.transform(
-                    _coefficient_on_grid(model.sigma, t, grid, u_vals) * col_vals)
-            np.multiply(init, noise_w, out=D[row])
-            _linear_propagate(basis, dt, config.scheme, D[row],
-                              t0 - traj.times[m + 1], out=leads[row])
+            state._row_init(m, u_vals, out=D[row])
             active_rows = row + 1
 
-    return TangentState(basis=basis, r_indices=r_indices, r_times=r_times,
-                        derivatives=D, leads=leads, t0=float(t0), dt=dt,
-                        thin=thin)
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -437,14 +492,25 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     The kernel rows are the noise scale carried by the linear propagator
     of the scheme that produced traj, so for a linear model with constant
     amplitude i1 + i2 reproduces the window part of <Gamma v, v> under
-    either scheme.  Preconditions: tau in (0, t0/2], and every point at
+    either scheme.  Preconditions: tau in (0, t0/2], every point at
     distance >= 2 c2 tau^{1/4} from the boundary (the interior margin the
-    bound needs).
+    bound needs), and a tangent, when given, propagated along traj: the
+    same path, scheme, recorded times and states.
     """
     _check_problem(model, basis)
     pts = _check_points(basis, points)
     l = len(pts)
     if tangent is not None:
+        own = tangent.trajectory
+        if own is not traj and (
+                own.path != traj.path or own.scheme != traj.scheme
+                or not np.array_equal(own.times, traj.times)
+                or not np.array_equal(own.coeffs, traj.coeffs)):
+            raise ValueError(
+                f"tangent was propagated along another trajectory (path "
+                f"{own.path}, scheme {own.scheme!r}, {len(own.times)} times) "
+                f"than traj (path {traj.path}, scheme {traj.scheme!r}, "
+                f"{len(traj.times)} times)")
         if t0 is not None and abs(t0 - tangent.t0) > 1e-12:
             raise ValueError(f"t0={t0} disagrees with tangent.t0={tangent.t0}")
         t0 = tangent.t0
@@ -517,9 +583,20 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     i4 = None
     lower = None
     if tangent is not None:
-        sel = (tangent.r_indices >= m0) & (tangent.r_indices < n_to)
-        remainder = tangent.derivatives[sel] - tangent.leads[sel]
-        vals = _evaluate_at_points(basis, remainder, pts)
+        # remainder D - leads of the window rows, formed slab by slab and
+        # evaluated at the points; only the point values are kept
+        D = tangent.derivatives
+        first, stop = np.searchsorted(tangent.r_indices, (m0, n_to))
+        per_slab = max(1, min(TANGENT_SLICE_BYTES // D[0].nbytes,
+                              stop - first))
+        slab = np.empty((per_slab,) + D.shape[1:])
+        vals = np.empty((stop - first, tangent.n_directions, l))
+        for lo in range(first, stop, per_slab):
+            hi = min(lo + per_slab, stop)
+            remainder = tangent.lead_rows(slice(lo, hi), out=slab[:hi - lo])
+            np.subtract(D[lo:hi], remainder, out=remainder)
+            vals[lo - first:hi - first] = _evaluate_at_points(basis, remainder,
+                                                              pts)
         i4 = tangent.thin * tangent.dt * np.sum(vals**2, axis=(0, 1))
         lower = (i1 / 4.0 + i2 / 4.0 - (l / 2.0) * float(np.sum(v**2 * i3))
                  - l * float(np.sum(v**2 * i4)))

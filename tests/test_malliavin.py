@@ -81,6 +81,30 @@ def multiplicative_run():
     return basis, backend, model, config, jac, traj, tang
 
 
+@functools.cache
+def _riesz_run(scheme, sigma, path=0, thin=1, t_final=0.08):
+    """d=1 Neumann Cahn-Hilliard path on a Riesz kernel with its tangent at
+    t0 = 0.08; sigma is "scalar" (0.5) or "callable" (0.5 + 0.3 sin u)."""
+    basis = neumann_basis(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        backend = make_backend(CovarianceSpec.riesz(1, B=0.5), basis, seed=4)
+    jac = None
+    if sigma == "scalar":
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=0.5)
+    else:
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=lambda t, x, u: 0.5 + 0.3 * np.sin(u))
+        jac = {"sigma": lambda t, x, u: 0.3 * np.cos(u)}
+    config = SolverConfig(dt=2e-3, t_final=t_final, scheme=scheme)
+    u0 = basis.transform(0.8 * np.cos(basis.grid()[..., 0]))
+    traj = simulate(model, config, basis, backend=backend, u0=u0, path=path)
+    tang = tangent_propagate(traj, model, config, basis, backend, t0=0.08,
+                             thin=thin, jacobians=jac)
+    return basis, backend, model, traj, tang
+
+
 class TestTangentPropagate:
     def test_zero_sigma_tangent_vanishes(self):
         basis = neumann_basis(16)
@@ -273,13 +297,13 @@ class TestTangentPropagate:
     def test_memory_guard_raises_before_allocating(self, additive_run,
                                                    monkeypatch):
         basis, backend, model, config, traj, tang = additive_run
-        need = tang.derivatives.nbytes + tang.leads.nbytes
+        need = tang.derivatives.nbytes
         monkeypatch.setattr(malliavin, "MAX_TANGENT_BYTES", need - 1)
         with pytest.raises(ValueError, match=rf"{need} bytes.*thin"):
             tangent_propagate(traj, model, config, basis, backend)
         thinned = tangent_propagate(traj, model, config, basis, backend,
                                     thin=2)
-        assert thinned.derivatives.nbytes < need / 2
+        assert thinned.derivatives.nbytes == need // 2
 
     def test_working_set_stays_near_the_returned_arrays(self):
         # 20 steps x 144 white-noise directions: the stacked block would
@@ -297,8 +321,30 @@ class TestTangentPropagate:
         finally:
             tracemalloc.stop()
         assert tang.derivatives.shape == (20, 144, 12, 12)
-        assert peak < (tang.derivatives.nbytes + tang.leads.nbytes
-                       + 8 * 2**20)
+        assert peak < tang.derivatives.nbytes + 8 * 2**20
+
+    def test_decomposition_working_set_stays_below_the_window_rows(self):
+        # at tau = t0/2 the window holds 20 rows of 144 x 144 coefficients
+        # (3.3 MB); the I4 remainder is formed in slabs of about 1 MiB
+        basis = Basis(NEUMANN, dim=2, modes_per_axis=12)
+        backend = make_backend(CovarianceSpec.white(2), basis, seed=1)
+        model = ModelSpec(bc=NEUMANN, reaction=(1.0, 0.0, -1.0, 0.0),
+                          sigma=0.2)
+        config = SolverConfig(dt=1e-4, t_final=0.004)
+        traj = simulate(model, config, basis, backend=backend)
+        tang = tangent_propagate(traj, model, config, basis, backend)
+        pts = np.array([[math.pi / 2, math.pi / 3], [1.0, 2.0]])
+        tracemalloc.start()
+        try:
+            dec = decomposition_terms(traj, model, basis, backend.gram, pts,
+                                      tau=tang.t0 / 2, tangent=tang)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = tang.derivatives[tang.r_times >= tang.t0 / 2 - 1e-12]
+        assert len(window) == 20
+        assert np.all(dec.i4 > 0.0)
+        assert peak < window.nbytes
 
     def test_multiplicative_tangent_matches_finite_difference(self):
         # The sigma' term redraws each step's increment from the backend;
@@ -435,6 +481,68 @@ class TestDecompositionTerms:
         quad = float(dec.v @ gamma_w @ dec.v)
         assert abs(dec.i1 + dec.i2 - quad) <= 1e-12 * abs(quad)
         assert dec.lower_bound <= quad + 1e-15
+
+    @pytest.mark.parametrize("slab_rows", [None, 3])
+    @pytest.mark.parametrize("thin", [1, 2])
+    @pytest.mark.parametrize("sigma", ["scalar", "callable"])
+    @pytest.mark.parametrize("scheme", [EXPONENTIAL_EULER, SEMI_IMPLICIT])
+    def test_i4_is_bitwise_the_whole_window_remainder(
+            self, scheme, sigma, thin, slab_rows, monkeypatch):
+        # slab by slab, with rebuilt leads, I4 keeps the bits of evaluating
+        # D - leads over the whole window at once
+        basis, backend, model, traj, tang = _riesz_run(scheme, sigma,
+                                                       thin=thin)
+        if slab_rows is not None:
+            monkeypatch.setattr(malliavin, "TANGENT_SLICE_BYTES",
+                                slab_rows * tang.derivatives[0].nbytes)
+        pts = np.array([[1.1], [2.0]])
+        dec = decomposition_terms(traj, model, basis, backend.gram, pts,
+                                  tau=0.04, tangent=tang)
+        sel = tang.r_times >= tang.t0 - 0.04 - 1e-12
+        vals = malliavin._evaluate_at_points(
+            basis, tang.derivatives[sel] - tang.leads[sel], pts)
+        want = thin * tang.dt * np.sum(vals**2, axis=(0, 1))
+        assert np.array_equal(dec.i4, want)
+        assert np.all(dec.i4 > 0.0)
+
+    def test_lead_rows_are_rows_of_the_leads(self):
+        # t0 = 0.08 on a path to 0.1: rows 40..49 start after t0
+        *_, tang = _riesz_run(EXPONENTIAL_EULER, "callable", t_final=0.1)
+        leads = tang.leads
+        assert leads.shape == tang.derivatives.shape
+        assert np.array_equal(tang.lead_rows([3, 17, 39]), leads[[3, 17, 39]])
+        out = np.full((4,) + leads.shape[1:], np.nan)
+        assert tang.lead_rows(slice(38, 42), out=out) is out
+        assert np.array_equal(out, leads[38:42])
+        assert np.all(leads[:40].any(axis=(1, 2))) and not leads[40:].any()
+
+    @pytest.mark.parametrize("foreign", [
+        (SEMI_IMPLICIT, 1, 0.08), (EXPONENTIAL_EULER, 1, 0.08),
+        (SEMI_IMPLICIT, 0, 0.08), (EXPONENTIAL_EULER, 0, 0.1)])
+    def test_tangent_of_another_trajectory_raises(self, foreign):
+        # the tangent must be propagated along traj: its path, scheme and
+        # recorded times
+        basis, backend, model, traj, _ = _riesz_run(EXPONENTIAL_EULER,
+                                                    "scalar")
+        scheme, path, t_final = foreign
+        *_, tang = _riesz_run(scheme, "scalar", path=path, t_final=t_final)
+        with pytest.raises(ValueError, match="another trajectory"):
+            decomposition_terms(traj, model, basis, backend.gram,
+                                np.array([[1.1], [2.0]]), tau=0.04,
+                                tangent=tang)
+
+    def test_tangent_of_an_equal_trajectory_is_accepted(self):
+        basis, backend, model, traj, tang = _riesz_run(EXPONENTIAL_EULER,
+                                                       "scalar")
+        twin = dataclasses.replace(traj, coeffs=traj.coeffs.copy(),
+                                   times=traj.times.copy())
+        pts = np.array([[1.1], [2.0]])
+        dec = decomposition_terms(traj, model, basis, backend.gram, pts,
+                                  tau=0.04, tangent=tang)
+        same = decomposition_terms(twin, model, basis, backend.gram, pts,
+                                   tau=0.04, tangent=tang)
+        assert np.array_equal(same.i4, dec.i4)
+        assert same.lower_bound == dec.lower_bound
 
     def test_constant_sigma_increment_term_vanishes(self, additive_run):
         basis, backend, model, config, traj, tang = additive_run
