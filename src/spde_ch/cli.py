@@ -501,8 +501,9 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
         dec_rows = []
         if traj.path == trajs[0].path:
             for tau in taus:
-                dec = decomposition_terms(traj, model, basis, backend.gram,
-                                          points, tau=float(tau), tangent=tang)
+                dec = decomposition_terms(traj, model, basis,
+                                          backend.sampled_gram, points,
+                                          tau=float(tau), tangent=tang)
                 dec_rows.append((tau, dec.i1, dec.i2, dec.i3.max(),
                                  dec.i4.max(), dec.lower_bound))
         return mm, eig_rows, dec_rows

@@ -424,8 +424,6 @@ def small_ball_integral(f: CovarianceSpec, tau: float) -> float:
 class GramOperator:
     """Base for representations of Q_{kl} = <e_k, e_l>_H."""
 
-    kind = "abstract"
-
     def __init__(self, basis: Basis):
         self.basis = basis
 
@@ -447,37 +445,41 @@ class GramOperator:
     def frobenius_norm(self) -> float:
         raise NotImplementedError
 
-    def offdiagonal_mass(self) -> float:
-        """Fraction of the Frobenius norm dropped by a diagonal approximation."""
-        total = self.frobenius_norm()
-        diag = float(np.sqrt(np.sum(self.diagonal() ** 2)))
-        if total == 0:
-            return 0.0
-        return math.sqrt(max(total**2 - diag**2, 0.0)) / total
+    def frobenius_distance(self, other: "GramOperator") -> float:
+        """||Q - other||_F, formed from the two dense matrices."""
+        return float(np.linalg.norm(self.dense() - other.dense()))
 
 
-class IdentityGram(GramOperator):
-    kind = "identity"
+class DiagonalGram(GramOperator):
+    """Q = diag(d) for a coefficient-shaped d; d = None is Q = I (white noise)."""
+
+    def __init__(self, basis, diag=None):
+        super().__init__(basis)
+        self.diag = (np.ones(basis.shape) if diag is None
+                     else np.asarray(diag, dtype=float).reshape(basis.shape))
 
     def bilinear(self, a, b):
-        return float(np.sum(np.asarray(a) * np.asarray(b)))
+        return float(np.sum(np.asarray(a) * self.diag * np.asarray(b)))
 
     def diagonal(self):
-        return np.ones(self.basis.shape)
+        return self.diag.copy()
 
     def dense(self, max_entries: int = 2**24):
-        n = self.basis.n_modes
-        _guard_dense(n, max_entries)
-        return np.eye(n)
+        _guard_dense(self.basis.n_modes, max_entries)
+        return np.diag(self.diag.reshape(-1))
 
     def frobenius_norm(self):
-        return math.sqrt(self.basis.n_modes)
+        return math.sqrt(float(np.sum(self.diag**2)))
+
+    def frobenius_distance(self, other):
+        # other - diag(d) is other off the diagonal: no dense matrix needed
+        q = other.diagonal()
+        off = other.frobenius_norm()**2 - math.sqrt(float(np.sum(q**2)))**2
+        return math.sqrt(max(off, 0.0) + float(np.sum((q - self.diag)**2)))
 
 
 class Rank1Gram(GramOperator):
     """Q = scale * outer(v, v) (constant kernels: v_k = int e_k)."""
-
-    kind = "rank1"
 
     def __init__(self, basis, vec, scale):
         super().__init__(basis)
@@ -503,8 +505,6 @@ class Rank1Gram(GramOperator):
 class DenseGram(GramOperator):
     """Explicit, exactly symmetric (n_modes x n_modes) matrix with PSD
     repair on construction; held without a copy unless repaired."""
-
-    kind = "dense"
 
     def __init__(self, basis, matrix):
         super().__init__(basis)
@@ -558,8 +558,6 @@ class KroneckerMixtureGram(GramOperator):
     Exact Gaussian-mixture representation of Riesz kernels: positive weights,
     Gaussian per-axis correlation matrices, hence PSD by construction.
     """
-
-    kind = "kronecker-mixture"
 
     def __init__(self, basis, weights, axis_mats):
         super().__init__(basis)
@@ -825,7 +823,7 @@ def gram_operator(f: CovarianceSpec, basis: Basis,
     if f.dim != basis.dim:
         raise ValueError(f"kernel dim {f.dim} != basis dim {basis.dim}")
     if f.kind == CovarianceSpec.WHITE:
-        return IdentityGram(basis)
+        return DiagonalGram(basis)
     if not f.locally_integrable:
         raise ValueError("kernel is not locally integrable; no Gram matrix")
     if f.kind == CovarianceSpec.CONSTANT:

@@ -53,6 +53,11 @@ TANGENT_SLICE_BYTES = 2**20
 #: Cap on the bytes of the returned tangent derivatives.
 MAX_TANGENT_BYTES = 2**32
 
+#: malliavin_matrix sums its dot products in order over pieces of this many
+#: rows, which OpenBLAS forms on one thread: the bits of Gamma do not depend
+#: on the BLAS thread count.
+DOT_ROWS = 10_000
+
 DEGENERATE = "degenerate"
 ABSOLUTELY_CONTINUOUS = "absolutely-continuous"
 INCONCLUSIVE = "inconclusive"
@@ -431,7 +436,9 @@ def malliavin_matrix(tangent: TangentState, points) -> MalliavinMatrix:
     gamma = np.empty((len(pts), len(pts)))
     for i in range(len(pts)):
         for j in range(i, len(pts)):
-            val = w * float(flat[:, i] @ flat[:, j])
+            val = w * sum(float(flat[lo:lo + DOT_ROWS, i]
+                                @ flat[lo:lo + DOT_ROWS, j])
+                          for lo in range(0, len(flat), DOT_ROWS))
             gamma[i, j] = val
             gamma[j, i] = val
     return MalliavinMatrix(gamma=gamma, points=pts, t0=tangent.t0,
@@ -492,10 +499,12 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
     The kernel rows are the noise scale carried by the linear propagator
     of the scheme that produced traj, so for a linear model with constant
     amplitude i1 + i2 reproduces the window part of <Gamma v, v> under
-    either scheme.  Preconditions: tau in (0, t0/2], every point at
-    distance >= 2 c2 tau^{1/4} from the boundary (the interior margin the
-    bound needs), and a tangent, when given, propagated along traj: the
-    same path, scheme, recorded times and states.
+    either scheme, when gram is the backend's sampled_gram (the covariance
+    that drove the path and its tangent).  Preconditions: tau in
+    (0, t0/2], every point at distance >= 2 c2 tau^{1/4} from the boundary
+    (the interior margin the bound needs), and a tangent, when given,
+    propagated along traj: the same path, scheme, recorded times and
+    states.
     """
     _check_problem(model, basis)
     pts = _check_points(basis, points)

@@ -1,13 +1,13 @@
 """Sampling of the space-correlated, white-in-time driving noise.
 
-The noise increment over a window of length dt is the Gaussian field whose
-basis coefficients X satisfy E[X_k X_l] = dt * Q_{kl}, with Q the Gram matrix
-of the correlation kernel (see covariance.gram_operator).  Backends:
+The noise increment over a window of length dt has basis coefficients
+sqrt(dt) F xi, xi standard Gaussian, for a backend's map F: covariance
+dt * Q_s with Q_s = F F^T (``sampled_gram``), against the kernel's Gram Q
+(``gram``, see covariance.gram_operator).  Backends:
 
-* ``white``              Q = I, coefficients are i.i.d. standard Gaussians;
-* ``spectral-cholesky``  exact dense factor of Q (d <= 3 sized problems);
-* ``spectral-diagonal``  keeps only diag(Q); the dropped off-diagonal
-                         Frobenius mass is recorded (default for d >= 4);
+* ``spectral-cholesky``  Q_s = Q by an exact factor (d <= 3 sized problems);
+* ``spectral-diagonal``  Q_s = diag(Q) (default for d >= 4); ``white`` is
+                         this sampler of a white kernel's Q = I;
 * ``grid-cell``          cell-averaged construction in d = 1: sample cell
                          masses with the exact cell-cell covariance, then
                          project piecewise-constant densities onto the basis.
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import NEUMANN, Basis, axis_norms
-from .covariance import (CovarianceSpec, DenseGram, GramOperator,
-                         IdentityGram, Rank1Gram, _singular_quad,
+from .covariance import (CovarianceSpec, DenseGram, DiagonalGram,
+                         GramOperator, Rank1Gram, _singular_quad,
                          gram_operator)
 
 WHITE = "white"
@@ -81,7 +81,7 @@ class NoiseStream:
 
 
 class NoiseBackend:
-    """Common interface: coefficient increments N(0, dt * Q)."""
+    """Common interface: coefficient increments N(0, dt * sampled_gram)."""
 
     kind = "abstract"
 
@@ -89,6 +89,14 @@ class NoiseBackend:
         self.basis = basis
         self.gram = gram
         self.stream = NoiseStream(seed)
+
+    @property
+    def dropped_mass(self) -> float:
+        """||Q - Q_s||_F / ||Q||_F: the share of Q the sampler misses."""
+        total = self.gram.frobenius_norm()
+        if self.sampled_gram is self.gram or total == 0:
+            return 0.0
+        return self.sampled_gram.frobenius_distance(self.gram) / total
 
     @property
     def n_directions(self) -> int:
@@ -113,19 +121,9 @@ class NoiseBackend:
         return self.map_gaussians(e)
 
 
-class WhiteNoiseBackend(NoiseBackend):
-    kind = WHITE
-
-    @property
-    def n_directions(self):
-        return self.basis.n_modes
-
-    def map_gaussians(self, xi):
-        return np.asarray(xi, dtype=float).reshape(self.basis.shape)
-
-
 class SpectralCholeskyBackend(NoiseBackend):
-    """Exact factor Q = L L^T (eigen-factor, robust to semidefiniteness)."""
+    """Exact factor Q = L L^T (eigen-factor, robust to semidefiniteness);
+    DenseGram's PSD repair made Q the sampled covariance."""
 
     kind = SPECTRAL_CHOLESKY
 
@@ -141,6 +139,7 @@ class SpectralCholeskyBackend(NoiseBackend):
             w, V = gram.eigenpairs()
             w = np.clip(w, 0.0, None)
             self.factor = V * np.sqrt(w)
+        self.sampled_gram = self.gram
 
     @property
     def n_directions(self):
@@ -151,21 +150,16 @@ class SpectralCholeskyBackend(NoiseBackend):
 
 
 class SpectralDiagonalBackend(NoiseBackend):
-    """Independent modes with exact marginal variances diag(Q).
-
-    Off-diagonal correlations are dropped; ``dropped_mass`` records the
-    fraction of the Frobenius norm of Q lost by the approximation.
-    """
+    """Independent modes with exact marginal variances: Q_s = diag(Q).
+    Over the identity Gram of a white kernel this is the ``white`` backend."""
 
     kind = SPECTRAL_DIAGONAL
 
     def __init__(self, basis, gram, seed):
         super().__init__(basis, gram, seed)
-        diag = np.asarray(gram.diagonal(), dtype=float)
-        if diag.min() < 0:
-            diag = np.clip(diag, 0.0, None)
+        diag = np.clip(gram.diagonal(), 0.0, None)
         self.scale = np.sqrt(diag)
-        self.dropped_mass = gram.offdiagonal_mass()
+        self.sampled_gram = DiagonalGram(basis, diag)
         if self.dropped_mass > 0.05:
             warnings.warn(
                 f"diagonal noise backend drops {self.dropped_mass:.1%} of the "
@@ -185,7 +179,7 @@ class GridCellBackend(NoiseBackend):
     Samples the vector of noise masses over n_cells uniform cells (covariance
     C_{jj'} = integral of f over cell_j x cell_{j'}), interprets them as
     piecewise-constant densities and projects onto the spectral basis.  The
-    induced coefficient covariance P C P^T converges to Q as cells shrink.
+    sampled F F^T, F = P C^{1/2} (C clipped to PSD), tends to Q as cells shrink.
     """
 
     kind = GRID_CELL
@@ -202,6 +196,9 @@ class GridCellBackend(NoiseBackend):
         w = np.clip(w, 0.0, None)
         self.cell_factor = V * np.sqrt(w)
         self.projection = _cell_projection_1d(basis, self.n_cells)
+        F = self.projection @ self.cell_factor
+        FF = F @ F.T
+        self.sampled_gram = DenseGram(basis, 0.5 * (FF + FF.T))
 
     @property
     def n_directions(self):
@@ -210,11 +207,6 @@ class GridCellBackend(NoiseBackend):
     def map_gaussians(self, xi):
         masses = self.cell_factor @ np.asarray(xi, dtype=float)
         return (self.projection @ masses).reshape(self.basis.shape)
-
-    def projected_gram(self) -> np.ndarray:
-        """The coefficient covariance P C P^T actually sampled."""
-        PC = self.projection @ self.cell_cov
-        return PC @ self.projection.T
 
 
 def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
@@ -264,7 +256,8 @@ def make_backend(f: CovarianceSpec, basis: Basis, seed: int,
 
     kind='auto' picks: white kernels -> ``white``; d <= 3 -> exact
     ``spectral-cholesky``; d >= 4 -> ``spectral-diagonal`` (with the dropped
-    off-diagonal mass logged).
+    off-diagonal mass logged).  ``white`` is the diagonal sampler of the
+    identity Gram that ``gram_operator`` gives a white kernel.
     """
     if f.dim != basis.dim:
         raise ValueError(f"kernel dim {f.dim} != basis dim {basis.dim}")
@@ -277,20 +270,16 @@ def make_backend(f: CovarianceSpec, basis: Basis, seed: int,
             kind = SPECTRAL_DIAGONAL
     if kind not in BACKEND_KINDS:
         raise ValueError(f"unknown noise backend kind {kind!r}")
-    if kind == WHITE:
-        if f.kind != CovarianceSpec.WHITE:
-            raise ValueError("white backend requires a white-noise kernel")
-        return WhiteNoiseBackend(basis, IdentityGram(basis), seed)
-    if f.kind == CovarianceSpec.WHITE:
-        # correlated backends degenerate to the identity Gram
-        gram = IdentityGram(basis)
-    else:
-        gram = gram_operator(f, basis)
+    if kind == WHITE and f.kind != CovarianceSpec.WHITE:
+        raise ValueError("white backend requires a white-noise kernel")
+    gram = gram_operator(f, basis)
     if kind == SPECTRAL_CHOLESKY:
         return SpectralCholeskyBackend(basis, gram, seed)
-    if kind == SPECTRAL_DIAGONAL:
-        return SpectralDiagonalBackend(basis, gram, seed)
-    return GridCellBackend(basis, gram, seed, f, n_cells=n_cells)
+    if kind == GRID_CELL:
+        return GridCellBackend(basis, gram, seed, f, n_cells=n_cells)
+    backend = SpectralDiagonalBackend(basis, gram, seed)
+    backend.kind = kind
+    return backend
 
 
 @dataclass
@@ -309,21 +298,18 @@ def empirical_covariance_test(backend: NoiseBackend, phi: np.ndarray,
                               psi: np.ndarray, n_samples: int = 4000,
                               total_time: float = 1.0, path: int = 0,
                               z_max: float = 4.0) -> CovarianceTestResult:
-    """Estimate E[(phi, dW)(psi, dW)] from samples and compare with t*Q-form.
+    """Estimate E[(phi, dW)(psi, dW)] from samples and compare with t*Q_s-form.
 
     phi, psi are coefficient tensors of deterministic test functions.  The
     estimator averages the product of the two linear functionals over
-    independent increments of length total_time.
+    independent increments of length total_time; the target is the
+    backend's ``sampled_gram``, so the test checks the sampler itself.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     phi_f = np.asarray(phi, dtype=float).reshape(-1)
     psi_f = np.asarray(psi, dtype=float).reshape(-1)
-    target = total_time * backend.gram.bilinear(phi, psi)
-    if isinstance(backend, GridCellBackend):
-        # the cell backend samples P C P^T, not Q; compare with what it samples
-        Qp = backend.projected_gram()
-        target = total_time * float(phi_f @ Qp @ psi_f)
+    target = total_time * backend.sampled_gram.bilinear(phi, psi)
     prods = np.empty(n_samples)
     for i in range(n_samples):
         x = backend.sample_coefficients(total_time, step=i, path=path).reshape(-1)

@@ -590,7 +590,8 @@ def _bc_cases(bc):
             CovarianceSpec.riesz(2, 1.0), Basis(bc, 2, 4)).dense(),
         "cell-projection": lambda: _cell_projection_1d(b1, 16),
         "projected-gram": lambda: make_backend(
-            riesz1, b1, seed=0, kind="grid-cell", n_cells=16).projected_gram(),
+            riesz1, b1, seed=0, kind="grid-cell",
+            n_cells=16).sampled_gram.dense(),
         "pair-overlap": lambda: np.array([
             _pair_overlap(b1, int(k), int(l))(v)
             for k in b1.axis_modes for l in b1.axis_modes for v in u]),
@@ -732,7 +733,7 @@ GOLDEN = {
     "dirichlet/pair-overlap":
         "72c2cba935d30ff1ec800254456b98561838654a00f8a06cc2b6195d33f0df1a",
     "dirichlet/projected-gram":
-        "013201065cbb29a7a98fe85c31b145c8671144ac9b40876fb73e7b7a05a15898",
+        "b208934a9bc325e8c4a6418edb9418b91d82b36e04e2fd260694eba505328ff1",
     "neumann/axis-eig-0":
         "d0bd57e966437dc8b74780950977febc57274956a364f0e2a129c3a1adb6fc29",
     "neumann/axis-eig-1":
@@ -850,7 +851,7 @@ GOLDEN = {
     "neumann/pair-overlap":
         "e4e1baeadbe63fea31ffbb890ded4b987eee735402f9f3da0de93bca2bd60d37",
     "neumann/projected-gram":
-        "353fdb6531f20dda8c2e433d421f48a00ce202c1adf7a3909937b7d54d302517",
+        "6a7cf2e7fb0b6859960b3590ffe766beb7373279dc0fdeec2f4ef92bfbcd8427",
 }
 
 

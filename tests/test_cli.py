@@ -1,5 +1,6 @@
 """Config parsing, validation, command outputs and reproducibility."""
 
+import csv
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from spde_ch import cli, solver
 from spde_ch.basis import Basis
 from spde_ch.cli import (ConfigError, RunConfig, main, read_snapshot, run,
                          validate, write_snapshot)
+from spde_ch.malliavin import decomposition_terms, tangent_propagate
 
 
 def base_config(tmp_path, **overrides):
@@ -371,6 +373,40 @@ class TestCommands:
                 open(os.path.join(config.outdir,
                                   "eigenvalues.csv")).readlines()[1:]]
         assert min(eigs) > -1e-12
+
+    @pytest.mark.filterwarnings("ignore:diagonal noise backend")
+    def test_malliavin_window_terms_use_the_sampled_covariance(self,
+                                                              tmp_path):
+        # the diagonal backend samples diag(Q), not the kernel's Q; the
+        # window terms written are those of the covariance that drove the
+        # tangents
+        data = base_config(
+            tmp_path, command="malliavin", model={"sigma": 0.5},
+            solver={"dt": 0.002, "t_final": 0.08, "q": 2.0},
+            covariance={"kind": "riesz", "B": 0.5,
+                        "backend": "spectral-diagonal"})
+        data["options"] = {"paths": 1}
+        config = RunConfig.from_dict(data)
+        run(config)
+        with open(os.path.join(config.outdir, "decomposition.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        basis = config.build_basis()
+        model, solver_config, _, backend = cli._build_problem(config, basis)
+        traj, = cli._run_paths(model, solver_config, basis, backend, 1,
+                               config.initial_state(basis))
+        tang = tangent_propagate(traj, model, solver_config, basis, backend)
+        pts = [[math.pi / 2], [math.pi / 3]]
+        assert len(rows) == 3
+        for row in rows:
+            tau = float(row["tau"])
+            dec = decomposition_terms(traj, model, basis,
+                                      backend.sampled_gram, pts, tau=tau,
+                                      tangent=tang)
+            assert float(row["i1"]) == dec.i1
+            assert float(row["i2"]) == dec.i2
+            kernel = decomposition_terms(traj, model, basis, backend.gram,
+                                         pts, tau=tau, tangent=tang)
+            assert abs(kernel.i1 - dec.i1) > 1e-3 * dec.i1
 
     def test_simulate_noise_without_covariance_rejected(self, tmp_path):
         data = base_config(tmp_path, covariance=None)

@@ -19,7 +19,7 @@ from scipy import special as ssp
 
 from spde_ch.basis import DIRICHLET, NEUMANN, Basis
 from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
-                                CovarianceSpec, DenseGram, IdentityGram,
+                                CovarianceSpec, DenseGram, DiagonalGram,
                                 KroneckerMixtureGram, Rank1Gram,
                                 cahn_hilliard_integrability, gram_matrix,
                                 gram_operator, holder_integrability,
@@ -27,7 +27,7 @@ from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
                                 small_ball_integral, sphere_area,
                                 stochastic_integrability)
 from spde_ch.greens import KernelExponents
-from spde_ch.noise import make_backend
+from spde_ch.noise import SPECTRAL_DIAGONAL, make_backend
 
 
 def oracle_radial_riesz(d, B, e, kappa, r0):
@@ -460,7 +460,11 @@ class TestGramMatrix:
         # quadratic form of a PSD operator
         assert op.bilinear(a, a) >= -1e-10 * float(np.sum(a * a))
         assert op.diagonal().min() > 0
-        assert 0.0 < op.offdiagonal_mass() < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bk = make_backend(CovarianceSpec.riesz(4, 2.0), basis, seed=0,
+                              kind=SPECTRAL_DIAGONAL)
+        assert 0.0 < bk.dropped_mass < 1.0
 
     # (3, 10, 1.0) is regularity-3d's Gram; M = 1 packs one product per
     # head entry; m = 49 head rows split into blocks of uneven height.
@@ -556,7 +560,7 @@ class TestGramMatrix:
     def test_rank1_and_identity_operators(self):
         basis = Basis(NEUMANN, 3, 3)
         opw = gram_operator(CovarianceSpec.white(3), basis)
-        assert isinstance(opw, IdentityGram)
+        assert isinstance(opw, DiagonalGram)
         assert opw.frobenius_norm() == pytest.approx(math.sqrt(27))
         opc = gram_operator(CovarianceSpec.constant(3, 2.0), basis)
         assert isinstance(opc, Rank1Gram)

@@ -3,6 +3,9 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -18,7 +21,7 @@ from spde_ch.malliavin import (ABSOLUTELY_CONTINUOUS, DEGENERATE,
                                decomposition_terms, density_criterion,
                                malliavin_matrix, tangent_propagate,
                                thinning_check)
-from spde_ch.noise import make_backend
+from spde_ch.noise import BACKEND_KINDS, GRID_CELL, WHITE, make_backend
 from spde_ch.solver import (EXPONENTIAL_EULER, SEMI_IMPLICIT, ModelSpec,
                             SolverConfig, _propagators, simulate)
 
@@ -36,8 +39,15 @@ def ou_variances(basis, t0):
 
 
 def point_modes(basis, pts):
-    return np.stack([axis_eigenfunctions(basis.bc, basis.axis_modes, p)
-                     for p in np.atleast_2d(pts)[:, 0]])
+    """e_k(x) over every multi-index k, one flattened row per point."""
+    rows = []
+    for p in np.atleast_2d(pts):
+        e = np.ones(())
+        for xa in p:
+            e = np.multiply.outer(
+                e, axis_eigenfunctions(basis.bc, basis.axis_modes, xa))
+        rows.append(e.reshape(-1))
+    return np.stack(rows)
 
 
 class Nudged:
@@ -51,12 +61,44 @@ class Nudged:
         return inc + self.shift if (step, path) == self.key else inc
 
 
+GAMMA_SCRIPT = r"""
+import numpy as np
+from spde_ch.basis import NEUMANN, Basis
+from spde_ch.malliavin import TangentState, malliavin_matrix
+basis = Basis(NEUMANN, 1, 8)
+D = np.random.default_rng(0).standard_normal((80, 144, 8))
+tang = TangentState(basis=basis, r_indices=np.arange(80),
+                    r_times=1e-3 * np.arange(80), derivatives=D, t0=0.08,
+                    dt=1e-3, thin=1, trajectory=None, model=None, config=None,
+                    backend=None)
+print(malliavin_matrix(tang, [[0.7], [1.3], [2.1]]).gamma.tobytes().hex())
+"""
+
+
 @functools.cache
 def _additive_run(scheme):
     basis = neumann_basis(32)
     backend = make_backend(CovarianceSpec.white(1), basis, seed=3)
     model = ModelSpec(bc=NEUMANN, sigma=1.3)
     config = SolverConfig(dt=0.0025, t_final=0.1, scheme=scheme)
+    traj = simulate(model, config, basis, backend=backend)
+    tang = tangent_propagate(traj, model, config, basis, backend)
+    return basis, backend, model, config, traj, tang
+
+
+@functools.cache
+def _window_run(kind, scheme):
+    """A linear run on each backend kind: white noise is _additive_run; the
+    others sample a Riesz kernel, which the diagonal (d=2) and grid-cell
+    (d=1) backends approximate."""
+    if kind == WHITE:
+        return _additive_run(scheme)
+    dim, M = (1, 12) if kind == GRID_CELL else (2, 6)
+    basis = Basis(NEUMANN, dim, M)
+    backend = make_backend(CovarianceSpec.riesz(dim, 0.5), basis, seed=3,
+                           kind=kind)
+    model = ModelSpec(bc=NEUMANN, sigma=0.5)
+    config = SolverConfig(dt=2e-3, t_final=0.08, scheme=scheme)
     traj = simulate(model, config, basis, backend=backend)
     tang = tangent_propagate(traj, model, config, basis, backend)
     return basis, backend, model, config, traj, tang
@@ -425,6 +467,23 @@ class TestMalliavinMatrix:
         closed = 0.9**2 * np.einsum("k,ik,jk->ij", var, E, E)
         assert np.abs(gamma - closed).max() <= 1e-12 * np.abs(closed).max()
 
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # 80 rows x 144 directions are 11 520 products per entry, past the
+        # 10 000 that OpenBLAS reduces on one thread
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            malliavin.__file__)))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", GAMMA_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
     def test_symmetry_is_bit_exact(self, multiplicative_run):
         *_, tang = multiplicative_run
         gamma = malliavin_matrix(tang, np.array([[0.7], [1.5], [2.6]])).gamma
@@ -464,16 +523,24 @@ class TestMalliavinMatrix:
 
 
 class TestDecompositionTerms:
-    @pytest.mark.parametrize("scheme", [EXPONENTIAL_EULER, SEMI_IMPLICIT])
-    def test_additive_window_identity(self, scheme):
+    @pytest.mark.filterwarnings("ignore:diagonal noise backend")
+    @pytest.mark.parametrize("kind,scheme", [
+        pytest.param(kind, scheme,
+                     id=scheme if kind == WHITE else f"{kind}-{scheme}")
+        for kind in BACKEND_KINDS
+        for scheme in (EXPONENTIAL_EULER, SEMI_IMPLICIT)])
+    def test_additive_window_identity(self, kind, scheme):
         # over [t0 - tau, t0) the kernel rows, carried by the trajectory's
-        # own scheme, give the exact tangent quadrature: i1 + i2 equals
+        # own scheme and weighed by the covariance the backend sampled,
+        # give the exact tangent quadrature: i1 + i2 equals
         # <Gamma_window v, v>
-        basis, backend, model, config, traj, tang = _additive_run(scheme)
-        pts = np.array([[0.8], [1.9], [math.pi / 2]])
-        dec = decomposition_terms(traj, model, basis, backend.gram, pts,
-                                  tau=0.05, tangent=tang)
-        sel = tang.r_times >= tang.t0 - 0.05 - 1e-12
+        basis, backend, model, config, traj, tang = _window_run(kind, scheme)
+        pts = np.array([[0.8, 1.9], [1.9, 1.2],
+                        [math.pi / 2] * 2])[:, :basis.dim]
+        tau = config.t_final / 2
+        dec = decomposition_terms(traj, model, basis, backend.sampled_gram,
+                                  pts, tau=tau, tangent=tang)
+        sel = tang.r_times >= tang.t0 - tau - 1e-12
         rows = tang.derivatives[sel]
         E = point_modes(basis, pts)
         vals = rows.reshape(rows.shape[0], rows.shape[1], -1) @ E.T

@@ -1,6 +1,7 @@
 """Tests for noise backends: streams, factors, and covariance fidelity."""
 
 import math
+import re
 import sys
 import threading
 import warnings
@@ -10,10 +11,10 @@ import pytest
 
 from spde_ch.basis import DIRICHLET, NEUMANN, Basis
 from spde_ch.covariance import CovarianceSpec, DenseGram, gram_matrix
-from spde_ch.noise import (GRID_CELL, SPECTRAL_CHOLESKY, SPECTRAL_DIAGONAL,
-                           WHITE, GridCellBackend, NoiseStream,
-                           SpectralCholeskyBackend, SpectralDiagonalBackend,
-                           WhiteNoiseBackend, empirical_covariance_test,
+from spde_ch.noise import (BACKEND_KINDS, GRID_CELL, SPECTRAL_CHOLESKY,
+                           SPECTRAL_DIAGONAL, WHITE, GridCellBackend,
+                           NoiseStream, SpectralCholeskyBackend,
+                           SpectralDiagonalBackend, empirical_covariance_test,
                            make_backend)
 
 
@@ -98,7 +99,8 @@ class TestBackendDispatch:
     def test_auto_white(self):
         basis = Basis(NEUMANN, 2, 4)
         bk = make_backend(CovarianceSpec.white(2), basis, seed=0)
-        assert isinstance(bk, WhiteNoiseBackend)
+        assert isinstance(bk, SpectralDiagonalBackend)
+        assert bk.kind == WHITE
 
     def test_auto_low_dim_cholesky(self):
         basis = Basis(NEUMANN, 2, 4)
@@ -123,6 +125,44 @@ class TestBackendDispatch:
         with pytest.raises(ValueError, match="d=1"):
             make_backend(CovarianceSpec.riesz(2, 1.0), basis, seed=0,
                          kind=GRID_CELL)
+
+
+class TestSampledGram:
+    """Every backend kind states the covariance it samples."""
+
+    @pytest.mark.filterwarnings("ignore:diagonal noise backend")
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_sampled_gram_is_f_ft_and_dropped_mass_its_distance(self, kind):
+        # sampled_gram is F F^T for the map F of map_gaussians, and
+        # dropped_mass is ||Q - Q_s||_F / ||Q||_F, on every kernel the
+        # backend accepts; a kind missing from the refusals below must
+        # accept all three kernels
+        refused = {WHITE: {"riesz", "constant"}, GRID_CELL: {"white"}}
+        accepted = set()
+        for bc in (NEUMANN, DIRICHLET):
+            for dim, M in ((1, 8), (2, 6)):
+                basis = Basis(bc, dim, M)
+                for f in (CovarianceSpec.riesz(dim, 0.5),
+                          CovarianceSpec.constant(dim, 0.7),
+                          CovarianceSpec.white(dim)):
+                    try:
+                        bk = make_backend(f, basis, seed=0, kind=kind)
+                    except ValueError as err:
+                        assert re.search("white|d=1|density", str(err))
+                        continue
+                    accepted.add(f.kind)
+                    n = bk.n_directions
+                    F = np.stack([bk.map_gaussians(e).reshape(-1)
+                                  for e in np.eye(n)], axis=1)
+                    FFt = F @ F.T
+                    Qs = bk.sampled_gram.dense()
+                    assert (np.linalg.norm(Qs - FFt)
+                            <= 1e-13 * np.linalg.norm(FFt))
+                    Q = bk.gram.dense()
+                    want = np.linalg.norm(Q - Qs) / np.linalg.norm(Q)
+                    assert abs(bk.dropped_mass - want) <= 1e-12
+        assert accepted == {"riesz", "constant", "white"} - refused.get(
+            kind, set())
 
 
 class TestSamplingLaws:
@@ -266,8 +306,9 @@ class TestGridCellBackend:
         Q = gram_matrix(f, basis)
         coarse = make_backend(f, basis, 0, kind=GRID_CELL, n_cells=64)
         fine = make_backend(f, basis, 0, kind=GRID_CELL, n_cells=256)
-        err_c = np.linalg.norm(coarse.projected_gram() - Q) / np.linalg.norm(Q)
-        err_f = np.linalg.norm(fine.projected_gram() - Q) / np.linalg.norm(Q)
+        err_c = (np.linalg.norm(coarse.sampled_gram.dense() - Q)
+                 / np.linalg.norm(Q))
+        err_f = np.linalg.norm(fine.sampled_gram.dense() - Q) / np.linalg.norm(Q)
         assert err_c < 0.02
         assert err_f < err_c / 4  # second-order in the cell width
 
