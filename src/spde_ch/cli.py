@@ -14,6 +14,7 @@ M, boundary flag 0=Neumann/1=Dirichlet, record count) and then
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -31,8 +32,9 @@ from .basis import DIRICHLET, NEUMANN, Basis
 from .covariance import (CovarianceSpec, cahn_hilliard_integrability,
                          stochastic_integrability)
 from .greens import KernelExponents, green_function
-from .malliavin import (_check_points, _model_derivatives, decomposition_terms,
-                        density_criterion, malliavin_matrix, tangent_propagate)
+from .malliavin import (TANGENT_SLICE_BYTES, _check_points, _model_derivatives,
+                        decomposition_terms, density_criterion,
+                        malliavin_matrix, tangent_propagate)
 from .noise import make_backend
 from .regularity import (TIME, Ensemble, holder_exponent, moment_track,
                          structure_function)
@@ -313,27 +315,76 @@ def _build_problem(config, basis):
     return model, solver, f, backend
 
 
-def _run_paths(model, solver, basis, backend, n_paths, u0):
-    # Paths run serially, so the noise streams are drawn in one order;
-    # _map_paths parallelises the per-path work after this loop.  run() has
-    # already applied the admissibility gate through validate(), so
-    # simulate() is not handed the kernel to check it again per path.
-    return [simulate(model, solver, basis, backend=backend, u0=u0, path=path)
-            for path in range(n_paths)]
+# A pool pays only where every call of a path's task works on at least
+# this many grid points: below it the threads queue on the interpreter lock
+# between numpy calls (README, "Outputs are deterministic").
+POOL_MIN_POINTS = 4096
 
 
-def _map_paths(fn, trajs, threads):
-    """[fn(traj) for traj in trajs], on min(threads, len(trajs)) threads.
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where no such library or setter is found."""
+    import ctypes
 
-    Results come back in path order, so outputs do not depend on the
-    width; at width 1 no pool is built.  The work is numpy and pocketfft
-    code that releases the interpreter lock.
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if not name.startswith("libscipy_openblas"):
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _map_paths(task, n_paths, threads, points):
+    """[task(path) for path in range(n_paths)], pooled where it pays.
+
+    task(path) is one path's whole work, and points the size of the arrays
+    its numpy and pocketfft calls work on.  The paths run on a pool of
+    min(threads, n_paths) threads only when that width is above 1, points
+    reaches POOL_MIN_POINTS, and numpy's OpenBLAS can be held at one thread
+    for the pool's lifetime, so that the pool threads do not oversubscribe
+    the cores through BLAS; otherwise they run serially.  Results come back
+    in path order, and the noise streams are keyed by (step, path), so
+    outputs do not depend on the choice.
     """
-    width = min(threads, len(trajs))
-    if width <= 1:
-        return [fn(traj) for traj in trajs]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, trajs))
+    width = min(threads, n_paths)
+    blas = (_openblas_threads() if width > 1 and points >= POOL_MIN_POINTS
+            else None)
+    if blas is None:
+        return [task(path) for path in range(n_paths)]
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            return list(pool.map(task, range(n_paths)))
+    finally:
+        set_(before)
+
+
+def _simulator(model, solver, basis, backend, u0):
+    # run() has already applied the admissibility gate through validate(),
+    # so simulate() is not handed the kernel to check it again per path.
+    return lambda path: simulate(model, solver, basis, backend=backend,
+                                 u0=u0, path=path)
+
+
+def _refined_points(basis):
+    """Points of the factor-2 refined grid that every step synthesises."""
+    return (2 * basis.modes_per_axis) ** basis.dim
 
 
 def _cmd_check_covariance(config, basis, outdir, h, threads):
@@ -388,14 +439,16 @@ def _cmd_green(config, basis, outdir, h, threads):
 def _cmd_simulate(config, basis, outdir, h, threads):
     n_paths = _count_option(config, "paths", 1)
     model, solver, _, backend = _build_problem(config, basis)
-    u0 = config.initial_state(basis)
-    trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
-    diags = _map_paths(
-        lambda traj: energy_diagnostics(traj, basis, model=model), trajs,
-        threads)
+    path_run = _simulator(model, solver, basis, backend,
+                          config.initial_state(basis))
+
+    def task(path):
+        traj = path_run(path)
+        return traj, energy_diagnostics(traj, basis, model=model)
 
     summary, series, finals = [], [], []
-    for traj, diag in zip(trajs, diags):
+    for traj, diag in _map_paths(task, n_paths, threads,
+                                 _refined_points(basis)):
         summary.append((traj.path, traj.exploded, traj.stop_time,
                         traj.norms[-1], diag["l2_sq"][-1],
                         diag["cum_dissipation"][-1]))
@@ -439,8 +492,9 @@ def _cmd_picard(config, basis, outdir, h, threads):
 def _cmd_regularity(config, basis, outdir, h, threads):
     n_paths = _count_option(config, "paths", 50)
     model, solver, _, backend = _build_problem(config, basis)
-    trajs = _run_paths(model, solver, basis, backend, n_paths,
-                       config.initial_state(basis))
+    trajs = _map_paths(_simulator(model, solver, basis, backend,
+                                  config.initial_state(basis)),
+                       n_paths, threads, _refined_points(basis))
     ensemble = Ensemble(basis, trajs)
 
     dt = solver.dt * solver.store_every
@@ -487,19 +541,21 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
     taus = config.options.get("taus") or [solver.t_final / 8,
                                           solver.t_final / 4,
                                           solver.t_final / 2]
-    u0 = config.initial_state(basis)
-    trajs = _run_paths(model, solver, basis, backend, n_paths, u0)
+    path_run = _simulator(model, solver, basis, backend,
+                          config.initial_state(basis))
 
-    def analyse(traj):
-        # The tangent state is the largest object of the run; it dies with
-        # this call, so at most one per pool thread is alive at a time.
+    def analyse(path):
+        # The trajectory and its tangent state, the largest object of the
+        # run, die with this call, so at most one per pool thread is alive
+        # at a time.
+        traj = path_run(path)
         tang = tangent_propagate(traj, model, solver, basis, backend,
                                  thin=thin, jacobians=jacobians)
         mm = malliavin_matrix(tang, points)
-        eig_rows = [(traj.path, i, eig)
+        eig_rows = [(path, i, eig)
                     for i, eig in enumerate(mm.eigenvalues())]
         dec_rows = []
-        if traj.path == trajs[0].path:
+        if path == 0:
             for tau in taus:
                 dec = decomposition_terms(traj, model, basis,
                                           backend.sampled_gram, points,
@@ -509,7 +565,10 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
         return mm, eig_rows, dec_rows
 
     eig_rows, dec_rows, gammas = [], [], []
-    for mm, eigs, decs in _map_paths(analyse, trajs, threads):
+    # tangent_propagate advances its fields in slices of
+    # TANGENT_SLICE_BYTES of refined-grid values
+    for mm, eigs, decs in _map_paths(analyse, n_paths, threads,
+                                     TANGENT_SLICE_BYTES // 8):
         gammas.append(mm)
         eig_rows += eigs
         dec_rows += decs
@@ -551,12 +610,12 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     The validation report gates the run: violated hypotheses abort unless
     force is set, and even then a model hypothesis raises the ValueError
     of ModelSpec.validate.  threads bounds the width of the thread pool
-    that runs the per-path work after the serial path loop (energy
-    diagnostics of simulate; tangents and Malliavin matrices of
-    malliavin), one path per task, so a single-path run gains nothing
-    from it.  Outputs land in
-    config.outdir; the manifest records the config (and its hash), library
-    versions, and a sha256 per emitted file.
+    that runs the paths of simulate, regularity and malliavin, one path's
+    whole work per task, so a single-path run gains nothing from it; the
+    pool is used only where _map_paths finds that it pays, and the outputs
+    are the same either way.  Outputs land in config.outdir; the manifest
+    records the config (and its hash), library versions, and a sha256 per
+    emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:
@@ -616,9 +675,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None, help="override the output dir")
         p.add_argument("--threads", type=int, default=None,
-                       help="threads for the per-path work after the "
-                            "serial path loop, at most one per path "
-                            f"(fallback: ${THREADS_ENV})")
+                       help="threads for the path loop, at most one per "
+                            "path, used where the state is large enough "
+                            f"to gain (fallback: ${THREADS_ENV})")
         p.add_argument("--force", action="store_true",
                        help="run despite violated kernel, eps or q "
                             "hypotheses (model hypotheses still refuse)")

@@ -15,6 +15,7 @@ from spde_ch.basis import Basis
 from spde_ch.cli import (ConfigError, RunConfig, main, read_snapshot, run,
                          validate, write_snapshot)
 from spde_ch.malliavin import decomposition_terms, tangent_propagate
+from spde_ch.solver import simulate
 
 
 def base_config(tmp_path, **overrides):
@@ -392,8 +393,8 @@ class TestCommands:
             rows = list(csv.DictReader(fh))
         basis = config.build_basis()
         model, solver_config, _, backend = cli._build_problem(config, basis)
-        traj, = cli._run_paths(model, solver_config, basis, backend, 1,
-                               config.initial_state(basis))
+        traj = simulate(model, solver_config, basis, backend=backend,
+                        u0=config.initial_state(basis), path=0)
         tang = tangent_propagate(traj, model, solver_config, basis, backend)
         pts = [[math.pi / 2], [math.pi / 3]]
         assert len(rows) == 3
@@ -565,41 +566,174 @@ class TestReproducibility:
         assert a != b
 
 
+def pooled_config(tmp_path, command, outdir="out"):
+    """d=3, M=8, 3 paths: the factor-2 refined grid has exactly
+    cli.POOL_MIN_POINTS points, so every command runs in the pool.  10
+    steps, or 5 for malliavin, whose tangents cost n_steps^2 transforms of
+    512 directions."""
+    t_final = 0.001 if command == "malliavin" else 0.002
+    data = base_config(
+        tmp_path, command=command,
+        basis={"bc": "neumann", "dim": 3, "modes_per_axis": 8},
+        solver={"dt": 0.0002, "t_final": t_final, "q": 4.0,
+                "truncation": 10.0},
+        covariance={"kind": "riesz", "B": 1.0},
+        outdir=str(tmp_path / outdir))
+    data["options"] = {"paths": 3, "u0_modes": [[[1, 0, 0], 0.3]]}
+    if command == "malliavin":
+        data["options"]["taus"] = [0.0002, 0.0004]
+    return data
+
+
+def _output_bytes(outdir):
+    return {name: _read_bytes(os.path.join(outdir, name))
+            for name in sorted(os.listdir(outdir))}
+
+
+def record_pools(monkeypatch):
+    """Replace ThreadPoolExecutor by one that runs tasks in order and
+    records (width, task count) per pool built."""
+    pools = []
+
+    class RecordingPool:
+
+        def __init__(self, max_workers):
+            self.entry = [max_workers, None]
+            pools.append(self.entry)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.entry[1] = len(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+# At d=3, M=8 every default lag of regularity snaps to one grid lag, and
+# its Hölder fit divides 0 by 0 (ROADMAP item 1).
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in scalar divide:RuntimeWarning")
 class TestPathPool:
 
     @pytest.mark.parametrize("command, paths, threads, widths", [
-        ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
-        ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
+        ("simulate", 3, 1, []), ("simulate", 3, 2, []),
+        ("simulate", 3, 8, []), ("simulate", 1, 4, []),
         ("malliavin", 2, 3, [2]), ("regularity", 4, 2, []),
     ])
     def test_pool_width_is_threads_capped_by_paths(self, tmp_path, monkeypatch,
                                                    command, paths, threads,
                                                    widths):
-        built, mapped = [], []
-
-        class RecordingPool:
-            """Stands in for ThreadPoolExecutor and runs tasks in order."""
-
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                mapped.append(len(items))
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        # a d=1, M=16 state is far below POOL_MIN_POINTS, so simulate and
+        # regularity run serially; a tangent slice always reaches it
+        pools = record_pools(monkeypatch)
         data = base_config(tmp_path, command=command)
         data["options"]["paths"] = paths
         run(RunConfig.from_dict(data), threads=threads)
-        assert built == widths
-        assert mapped == [paths] * len(widths)
+        assert pools == [[w, paths] for w in widths]
+
+    @pytest.mark.parametrize("command, paths, threads, widths", [
+        ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
+        ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
+        ("regularity", 3, 2, [2]), ("regularity", 2, 3, [2]),
+    ])
+    def test_states_at_the_threshold_pool(self, tmp_path, monkeypatch,
+                                          command, paths, threads, widths):
+        pools = record_pools(monkeypatch)
+        data = pooled_config(tmp_path, command)
+        data["options"]["paths"] = paths
+        run(RunConfig.from_dict(data), threads=threads)
+        assert pools == [[w, paths] for w in widths]
+
+    @pytest.mark.parametrize("command", ["simulate", "regularity",
+                                         "malliavin"])
+    def test_pooled_runs_byte_identical(self, tmp_path, command):
+        data = pooled_config(tmp_path, command)
+        data["options"]["snapshots"] = True
+        outputs = {}
+        for threads in (1, 2, 3):
+            run(RunConfig.from_dict(data), threads=threads)
+            outputs[threads] = _output_bytes(data["outdir"])
+            for name in outputs[threads]:
+                os.remove(os.path.join(data["outdir"], name))
+        assert "manifest.json" in outputs[1]
+        assert len(outputs[1]) > 1
+        for threads in (2, 3):
+            assert list(outputs[threads]) == list(outputs[1])
+            for name, blob in outputs[1].items():
+                assert outputs[threads][name] == blob, \
+                    f"{name} differs at --threads {threads}"
+
+    def test_numpy_openblas_thread_count_is_reachable(self):
+        assert cli._openblas_threads() is not None
+
+    @pytest.fixture
+    def blas_at_two(self):
+        """The OpenBLAS thread count getter, with the count set to 2."""
+        get, set_ = cli._openblas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @pytest.mark.parametrize("command", ["simulate", "regularity",
+                                         "malliavin"])
+    def test_blas_thread_count_restored(self, tmp_path, monkeypatch,
+                                        blas_at_two, command):
+        get = blas_at_two
+        seen = []
+        original = cli.simulate
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        run(RunConfig.from_dict(pooled_config(tmp_path, command)), threads=2)
+        assert seen == [1, 1, 1]
+        assert get() == 2
+
+    def test_blas_thread_count_restored_when_a_path_raises(self, tmp_path,
+                                                           monkeypatch,
+                                                           blas_at_two):
+        get = blas_at_two
+        original = cli.simulate
+
+        def failing(*args, path=0, **kwargs):
+            if path == 1:
+                raise RuntimeError("path 1 failed")
+            return original(*args, path=path, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", failing)
+        pools = record_pools(monkeypatch)
+        with pytest.raises(RuntimeError, match="path 1 failed"):
+            run(RunConfig.from_dict(pooled_config(tmp_path, "simulate")),
+                threads=2)
+        assert pools == [[2, 3]]
+        assert get() == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "regularity"])
+    def test_no_blas_setter_runs_serially(self, tmp_path, monkeypatch,
+                                          command):
+        run(RunConfig.from_dict(pooled_config(tmp_path, command, "pooled")),
+            threads=2)
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        pools = record_pools(monkeypatch)
+        run(RunConfig.from_dict(pooled_config(tmp_path, command, "serial")),
+            threads=2)
+        assert pools == []
+        pooled = _output_bytes(tmp_path / "pooled")
+        serial = _output_bytes(tmp_path / "serial")
+        assert list(serial) == list(pooled)
+        for name in pooled:
+            if name != "manifest.json":     # records its outdir
+                assert serial[name] == pooled[name], name
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_malliavin_keeps_one_tangent_per_thread(self, tmp_path,
