@@ -541,14 +541,20 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
     taus = config.options.get("taus") or [solver.t_final / 8,
                                           solver.t_final / 4,
                                           solver.t_final / 2]
-    path_run = _simulator(model, solver, basis, backend,
-                          config.initial_state(basis))
+    # The paths are simulated first, as a stage of their own: run inside
+    # the tangent task, the simulation made a pool thread's tangent time
+    # swing by up to 40% from one process to the next, which a separate
+    # stage does not.  A trajectory holds a tangent state's values for one
+    # noise direction, so holding them all costs little next to one
+    # tangent state.
+    trajs = _map_paths(_simulator(model, solver, basis, backend,
+                                  config.initial_state(basis)),
+                       n_paths, threads, _refined_points(basis))
 
     def analyse(path):
-        # The trajectory and its tangent state, the largest object of the
-        # run, die with this call, so at most one per pool thread is alive
-        # at a time.
-        traj = path_run(path)
+        # The tangent state, the largest object of the run, dies with this
+        # call, so at most one per pool thread is alive at a time.
+        traj = trajs[path]
         tang = tangent_propagate(traj, model, solver, basis, backend,
                                  thin=thin, jacobians=jacobians)
         mm = malliavin_matrix(tang, points)
@@ -610,12 +616,13 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     The validation report gates the run: violated hypotheses abort unless
     force is set, and even then a model hypothesis raises the ValueError
     of ModelSpec.validate.  threads bounds the width of the thread pool
-    that runs the paths of simulate, regularity and malliavin, one path's
-    whole work per task, so a single-path run gains nothing from it; the
-    pool is used only where _map_paths finds that it pays, and the outputs
-    are the same either way.  Outputs land in config.outdir; the manifest
-    records the config (and its hash), library versions, and a sha256 per
-    emitted file.
+    that runs the paths of simulate, regularity and malliavin, one path
+    per task (malliavin simulates its paths, then analyses them, in two
+    such stages), so a single-path run gains nothing from it; each
+    stage's pool is used only where _map_paths finds that it pays, and
+    the outputs are the same either way.  Outputs land in config.outdir;
+    the manifest records the config (and its hash), library versions, and
+    a sha256 per emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:

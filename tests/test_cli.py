@@ -642,6 +642,7 @@ class TestPathPool:
         ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
         ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
         ("regularity", 3, 2, [2]), ("regularity", 2, 3, [2]),
+        ("malliavin", 3, 1, []), ("malliavin", 3, 2, [2, 2]),
     ])
     def test_states_at_the_threshold_pool(self, tmp_path, monkeypatch,
                                           command, paths, threads, widths):
@@ -734,6 +735,27 @@ class TestPathPool:
         for name in pooled:
             if name != "manifest.json":     # records its outdir
                 assert serial[name] == pooled[name], name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_malliavin_simulates_every_path_before_its_tangents(
+            self, tmp_path, monkeypatch, threads):
+        events = []
+        simulate_, propagate_ = cli.simulate, cli.tangent_propagate
+
+        def simulate(*args, **kwargs):
+            events.append("simulate")
+            return simulate_(*args, **kwargs)
+
+        def propagate(*args, **kwargs):
+            events.append("tangent")
+            return propagate_(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        monkeypatch.setattr(cli, "tangent_propagate", propagate)
+        data = base_config(tmp_path, command="malliavin")
+        data["options"]["paths"] = 3
+        run(RunConfig.from_dict(data), threads=threads)
+        assert events == ["simulate"] * 3 + ["tangent"] * 3
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_malliavin_keeps_one_tangent_per_thread(self, tmp_path,
