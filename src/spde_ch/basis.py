@@ -22,7 +22,9 @@ basis, round trips are exact to rounding, and Parseval holds on the grid.
 
 The package reads these facts from here only: ``axis_norms`` (the
 normalisations), the transform pair ``Basis._forward``/``_inverse`` (bound
-once per basis) and ``axis_product`` (every per-axis tensor product).
+once per basis), ``axis_product`` (every per-axis tensor product) and the
+integrals of the 1-d factors (``axis_integrals``, ``axis_cell_means`` and
+the shifted overlaps of the noise Gram, ``axis_overlap``).
 
 The transform pair is pocketfft's C kernel, bound once per basis together
 with its transform types and normalisation codes: the Neumann pair is DCT
@@ -172,6 +174,57 @@ def axis_eigenfunctions(bc: str, modes, x, deriv: int = 0) -> np.ndarray:
             out[k == 0] = 0.0       # 0 * cos(pi) would leave -0.0
         return out
     return scale * np.sin(phase)
+
+
+def axis_integrals(bc: str, modes) -> np.ndarray:
+    """Per-axis integrals int_0^pi e_k(x) dx."""
+    k = np.asarray(modes, dtype=float)
+    if _check_bc(bc) == NEUMANN:
+        out = np.zeros(k.shape)
+        out[k == 0] = math.pi / math.sqrt(math.pi)
+        return out
+    return axis_norms(bc, k) * (1.0 - np.cos(k * math.pi)) / k
+
+
+def axis_cell_means(bc: str, modes, n_cells: int) -> np.ndarray:
+    """P_{kj} = (1/h) int_{cell_j} e_k(x) dx for n_cells uniform cells on [0, pi]."""
+    h = math.pi / n_cells
+    edges = h * np.arange(n_cells + 1)
+    P = np.empty((len(modes), n_cells))
+    for i, (k, nk) in enumerate(zip(modes, axis_norms(bc, modes))):
+        if k == 0:
+            P[i] = nk
+        elif bc == NEUMANN:
+            P[i] = nk * (np.sin(k * edges[1:]) - np.sin(k * edges[:-1])) / (k * h)
+        else:
+            P[i] = nk * (np.cos(k * edges[:-1]) - np.cos(k * edges[1:])) / (k * h)
+    return P
+
+
+def _cos_integral(lib, a, b, L):
+    """int_0^L cos(a z + b) dz, through lib (math or numpy)."""
+    if a == 0:
+        return L * lib.cos(b)
+    return (lib.sin(a * L + b) - lib.sin(b)) / a
+
+
+def axis_overlap(bc: str, k: int, l: int):
+    """u -> c_kl(u) + c_lk(u), c_kl(u) = int_0^{pi-u} e_k(z+u) e_l(z) dz by
+    product-to-sum, for u >= 0 a float (through math) or an array (numpy)."""
+    k, l = int(k), int(l)
+    nk, nl = (float(n) for n in axis_norms(bc, [k, l]))
+    sign = 1.0 if bc == NEUMANN else -1.0
+
+    def overlap(u):
+        lib = math if isinstance(u, float) else np
+        L = math.pi - u
+        ckl = 0.5 * (_cos_integral(lib, k - l, k * u, L)
+                     + sign * _cos_integral(lib, k + l, k * u, L))
+        clk = 0.5 * (_cos_integral(lib, l - k, l * u, L)
+                     + sign * _cos_integral(lib, l + k, l * u, L))
+        return nk * nl * (ckl + clk)
+
+    return overlap
 
 
 class Basis:

@@ -22,7 +22,7 @@ import os
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -85,9 +85,6 @@ class RunConfig:
     outdir: str = "out"
     options: dict = field(default_factory=dict)
 
-    _KEYS = ("command", "basis", "model", "solver", "covariance", "seed",
-             "outdir", "options")
-
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; "
@@ -97,7 +94,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls._KEYS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in data or "basis" not in data:
@@ -114,10 +111,7 @@ class RunConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {"command": self.command, "basis": self.basis,
-                "model": self.model, "solver": self.solver,
-                "covariance": self.covariance, "seed": self.seed,
-                "outdir": self.outdir, "options": self.options}
+        return asdict(self)
 
     def config_hash(self) -> str:
         """Short digest of everything that determines the numbers.

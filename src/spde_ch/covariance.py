@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NEUMANN, Basis, axis_norms, axis_product
+from .basis import Basis, axis_integrals, axis_overlap, axis_product
 from .greens import KernelExponents
 
 ADMISSIBLE = "admissible"
@@ -54,6 +54,9 @@ EXPONENT_TOL = 1e-12
 
 #: warn when a Gram matrix eigenvalue is below this before clipping
 PSD_TOL = -1e-10
+
+#: GramOperator.dense refuses a matrix of more entries than this
+MAX_DENSE_ENTRIES = 2**24
 
 #: KroneckerMixtureGram.dense forms each term's products in blocks of head
 #: rows of about this many bytes, so they are scaled and summed in cache.
@@ -197,11 +200,6 @@ class CovarianceSpec:
         """Whether int_{B(0,1)} f < infinity."""
         return self.kind != self.WHITE and self.fitted_origin_power() < self.dim
 
-    @property
-    def diameter(self) -> float:
-        """Diameter of the difference set (Q - Q)."""
-        return math.pi * math.sqrt(self.dim)
-
     def fitted_origin_power(self) -> float:
         """Exponent B of the segment that reaches the origin (for a table,
         the power law through its two innermost samples)."""
@@ -326,13 +324,8 @@ def stochastic_integrability(f: CovarianceSpec,
     int f(v) |v|^{-e} dv < inf with e = (theta - d)^+.  White noise is
     admissible iff 2 alpha - gamma d / beta < 1.
     """
-    d = f.dim
-    cid = "stochastic-integrability"
-    if f.kind == CovarianceSpec.WHITE:
-        margin = 1.0 - (2.0 * exponents.alpha - exponents.gamma * d / exponents.beta)
-        return ConditionReport(cid, _verdict(margin), None, margin)
-    theta = exponents.beta_over_gamma * (2.0 * exponents.alpha - 1.0)
-    return _density_condition(f, cid, *_excess(theta, d))
+    return _shifted_integrability(f, exponents, "stochastic-integrability",
+                                  0.0, f.dim)
 
 
 def holder_integrability(f: CovarianceSpec, exponents: KernelExponents,
@@ -348,14 +341,20 @@ def holder_integrability(f: CovarianceSpec, exponents: KernelExponents,
     if not 0.0 < order < 1.0:
         raise ValueError(f"order must be in (0, 1), got {order}")
     fac = exponents.delta if which == "space" else exponents.eta
-    d = f.dim
-    cid = f"holder-{which}(order={order:g})"
+    return _shifted_integrability(f, exponents, f"holder-{which}(order={order:g})",
+                                  order * fac, f.dim)
+
+
+def _shifted_integrability(f, exponents, cid, shift, target):
+    """The integrability condition with 2 alpha -> 2 alpha + shift (white
+    noise: 2 (alpha + shift)) and theta held against target; shift 0.0
+    leaves it unshifted."""
     if f.kind == CovarianceSpec.WHITE:
-        margin = 1.0 - (2.0 * (exponents.alpha + order * fac)
-                        - exponents.gamma * d / exponents.beta)
+        margin = 1.0 - (2.0 * (exponents.alpha + shift)
+                        - exponents.gamma * f.dim / exponents.beta)
         return ConditionReport(cid, _verdict(margin), None, margin)
-    theta = exponents.beta_over_gamma * (2.0 * exponents.alpha + order * fac - 1.0)
-    return _density_condition(f, cid, *_excess(theta, d))
+    theta = exponents.beta_over_gamma * (2.0 * exponents.alpha + shift - 1.0)
+    return _density_condition(f, cid, *_excess(theta, target))
 
 
 def moment_integrability(f: CovarianceSpec, exponents: KernelExponents,
@@ -371,7 +370,6 @@ def moment_integrability(f: CovarianceSpec, exponents: KernelExponents,
         raise ValueError(f"need 2 <= q <= p, got q={q}, p={p}")
     if math.isinf(p):
         raise ValueError("p must be finite")
-    d = f.dim
     cid = f"moment(q={q:g},p={p:g})"
     if f.kind == CovarianceSpec.WHITE:
         a = exponents.alpha
@@ -380,8 +378,7 @@ def moment_integrability(f: CovarianceSpec, exponents: KernelExponents,
             return ConditionReport(cid, ADMISSIBLE, None, math.inf)
         margin = 2.0 * a / denom - p
         return ConditionReport(cid, _verdict(margin), None, margin)
-    theta = exponents.beta_over_gamma * (2.0 * exponents.alpha - 1.0)
-    return _density_condition(f, cid, *_excess(theta, d * q / p))
+    return _shifted_integrability(f, exponents, cid, 0.0, f.dim * q / p)
 
 
 def cahn_hilliard_integrability(f: CovarianceSpec, eps: float) -> ConditionReport:
@@ -439,7 +436,7 @@ class GramOperator:
         """Diagonal of Q as a coefficient-shaped tensor."""
         raise NotImplementedError
 
-    def dense(self, max_entries: int = 2**24) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         raise NotImplementedError
 
     def frobenius_norm(self) -> float:
@@ -464,8 +461,8 @@ class DiagonalGram(GramOperator):
     def diagonal(self):
         return self.diag.copy()
 
-    def dense(self, max_entries: int = 2**24):
-        _guard_dense(self.basis.n_modes, max_entries)
+    def dense(self):
+        _guard_dense(self.basis.n_modes)
         return np.diag(self.diag.reshape(-1))
 
     def frobenius_norm(self):
@@ -492,9 +489,8 @@ class Rank1Gram(GramOperator):
     def diagonal(self):
         return self.scale * self.vec**2
 
-    def dense(self, max_entries: int = 2**24):
-        n = self.basis.n_modes
-        _guard_dense(n, max_entries)
+    def dense(self):
+        _guard_dense(self.basis.n_modes)
         v = self.vec.reshape(-1)
         return self.scale * np.outer(v, v)
 
@@ -545,7 +541,7 @@ class DenseGram(GramOperator):
     def diagonal(self):
         return np.diag(self.matrix).reshape(self.basis.shape).copy()
 
-    def dense(self, max_entries: int = 2**24):
+    def dense(self):
         return self.matrix
 
     def frobenius_norm(self):
@@ -600,9 +596,9 @@ class KroneckerMixtureGram(GramOperator):
             out = out[..., None] * diags.reshape((len(self.weights),) + (1,) * (out.ndim - 1) + (-1,))
         return np.sum(out, axis=0)
 
-    def dense(self, max_entries: int = 2**24):
+    def dense(self):
         n = self.basis.n_modes
-        _guard_dense(n, max_entries)
+        _guard_dense(n)
         d, M = self.basis.dim, self.basis.modes_per_axis
         m = M ** (d - 1)
         # Q[(p, i), (q, k)] = R[p, q, i, k] = sum_t (head_t[p, q] A_t[i, k]) w_t,
@@ -651,8 +647,8 @@ class KroneckerMixtureGram(GramOperator):
         return math.sqrt(max(total, 0.0))
 
 
-def _guard_dense(n, max_entries):
-    if n * n > max_entries:
+def _guard_dense(n):
+    if n * n > MAX_DENSE_ENTRIES:
         raise ValueError(
             f"dense Gram matrix would need {n}x{n} entries; "
             "use the mixture/diagonal representation instead")
@@ -662,36 +658,14 @@ def _guard_dense(n, max_entries):
 # Gram assembly
 
 
-def _axis_overlap_integrals(basis: Basis, u: np.ndarray) -> np.ndarray:
-    """c_{kl}(u) + c_{lk}(u) with c_{kl}(u) = int e_k(z+u) e_l(z) dz, u >= 0.
-
-    The z-integral runs over [0, pi-u]; closed form via product-to-sum.
-    Returns an array of shape (M, M, len(u)).
-    """
-    M = basis.modes_per_axis
-    u = np.asarray(u, dtype=float)
-    L = math.pi - u
-    modes = basis.axis_modes
-    norms = axis_norms(basis.bc, modes)
-
-    def J(a, b):
-        # int_0^L cos(a z + b) dz
-        if a == 0:
-            return L * np.cos(b)
-        return (np.sin(a * L + b) - np.sin(b)) / a
-
-    out = np.empty((M, M, u.size))
-    sign = 1.0 if basis.bc == NEUMANN else -1.0
-    for i, k in enumerate(modes):
-        for j, l in enumerate(modes):
-            if j < i:
-                continue
-            ckl = 0.5 * (J(k - l, k * u) + sign * J(k + l, k * u))
-            clk = 0.5 * (J(l - k, l * u) + sign * J(l + k, l * u))
-            val = norms[i] * norms[j] * (ckl + clk)
-            out[i, j] = val
-            out[j, i] = val
-    return out
+def _overlap_table(basis: Basis, value, shape=()) -> np.ndarray:
+    """T[i, j] = T[j, i] = value(axis_overlap(bc, k_i, k_j)) for i <= j."""
+    M, modes = basis.modes_per_axis, basis.axis_modes
+    T = np.empty((M, M) + shape)
+    for i in range(M):
+        for j in range(i, M):
+            T[i, j] = T[j, i] = value(axis_overlap(basis.bc, modes[i], modes[j]))
+    return T
 
 
 def _graded_gauss_nodes(u_max: float, u_min: float, max_freq: float = 0.0):
@@ -750,29 +724,10 @@ def _riesz_mixture_gram(f: CovarianceSpec, basis: Basis) -> KroneckerMixtureGram
     u_min = 0.05 / math.sqrt(s.max())
     max_freq = 2.0 * float(basis.axis_modes.max())
     nodes, wu = _graded_gauss_nodes(math.pi, u_min, max_freq=max_freq)
-    csym = _axis_overlap_integrals(basis, nodes)          # (M, M, Nu)
+    csym = _overlap_table(basis, lambda g: g(nodes), nodes.shape)  # (M, M, Nu)
     E = np.exp(-np.outer(s, nodes**2))                    # (J, Nu)
     A = np.einsum("klu,ju->jkl", csym * wu, E)
     return KroneckerMixtureGram(basis, w, A)
-
-
-def _pair_overlap(basis: Basis, k: int, l: int) -> "callable":
-    """Scalar-u evaluator of c_{kl}(u) + c_{lk}(u) for one mode pair."""
-    nk, nl = (float(n) for n in axis_norms(basis.bc, [k, l]))
-    sign = 1.0 if basis.bc == NEUMANN else -1.0
-
-    def J(a, b, L):
-        if a == 0:
-            return L * math.cos(b)
-        return (math.sin(a * L + b) - math.sin(b)) / a
-
-    def g(u):
-        L = math.pi - u
-        ckl = 0.5 * (J(k - l, k * u, L) + sign * J(k + l, k * u, L))
-        clk = 0.5 * (J(l - k, l * u, L) + sign * J(l + k, l * u, L))
-        return nk * nl * (ckl + clk)
-
-    return g
 
 
 def _singular_quad(f: CovarianceSpec, smooth, b: float) -> float:
@@ -792,25 +747,7 @@ def _singular_quad(f: CovarianceSpec, smooth, b: float) -> float:
 
 def _direct_gram_1d(f: CovarianceSpec, basis: Basis) -> np.ndarray:
     """Dense Q in d=1 by weighted quadrature with the exact endpoint power."""
-    M = basis.modes_per_axis
-    modes = basis.axis_modes
-    Q = np.zeros((M, M))
-    for i in range(M):
-        for j in range(i, M):
-            g = _pair_overlap(basis, int(modes[i]), int(modes[j]))
-            Q[i, j] = Q[j, i] = _singular_quad(f, g, math.pi)
-    return Q
-
-
-def _constant_axis_integrals(basis: Basis) -> np.ndarray:
-    """Per-axis integrals int_0^pi e_k(x) dx."""
-    modes = basis.axis_modes
-    if basis.bc == NEUMANN:
-        out = np.zeros(basis.modes_per_axis)
-        out[0] = math.pi / math.sqrt(math.pi)
-        return out
-    k = modes.astype(float)
-    return axis_norms(basis.bc, k) * (1.0 - np.cos(k * math.pi)) / k
+    return _overlap_table(basis, lambda g: _singular_quad(f, g, math.pi))
 
 
 def gram_operator(f: CovarianceSpec, basis: Basis,
@@ -827,7 +764,7 @@ def gram_operator(f: CovarianceSpec, basis: Basis,
     if not f.locally_integrable:
         raise ValueError("kernel is not locally integrable; no Gram matrix")
     if f.kind == CovarianceSpec.CONSTANT:
-        vec = axis_product([_constant_axis_integrals(basis)] * basis.dim)
+        vec = axis_product([axis_integrals(basis.bc, basis.axis_modes)] * basis.dim)
         return Rank1Gram(basis, vec, f.c)
     direct = method == "direct" or (method == "auto" and f.dim == 1)
     if f.kind == CovarianceSpec.RIESZ and not direct:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NEUMANN, Basis, axis_norms
+from .basis import Basis, axis_cell_means
 from .covariance import (CovarianceSpec, DenseGram, DiagonalGram,
                          GramOperator, Rank1Gram, _singular_quad,
                          gram_operator)
@@ -195,7 +195,7 @@ class GridCellBackend(NoiseBackend):
         w, V = np.linalg.eigh(self.cell_cov)
         w = np.clip(w, 0.0, None)
         self.cell_factor = V * np.sqrt(w)
-        self.projection = _cell_projection_1d(basis, self.n_cells)
+        self.projection = axis_cell_means(basis.bc, basis.axis_modes, self.n_cells)
         F = self.projection @ self.cell_factor
         FF = F @ F.T
         self.sampled_gram = DenseGram(basis, 0.5 * (FF + FF.T))
@@ -232,22 +232,6 @@ def _cell_covariance_1d(f: CovarianceSpec, n_cells: int) -> np.ndarray:
         col[m] = val
     idx = np.arange(n_cells)
     return col[np.abs(idx[:, None] - idx[None, :])]
-
-
-def _cell_projection_1d(basis: Basis, n_cells: int) -> np.ndarray:
-    """P_{kj} = (1/h) int_{cell_j} e_k(x) dx for uniform cells on [0, pi]."""
-    h = math.pi / n_cells
-    edges = h * np.arange(n_cells + 1)
-    P = np.empty((basis.modes_per_axis, n_cells))
-    norms = axis_norms(basis.bc, basis.axis_modes)
-    for i, (k, nk) in enumerate(zip(basis.axis_modes, norms)):
-        if k == 0:
-            P[i] = nk
-        elif basis.bc == NEUMANN:
-            P[i] = nk * (np.sin(k * edges[1:]) - np.sin(k * edges[:-1])) / (k * h)
-        else:
-            P[i] = nk * (np.cos(k * edges[:-1]) - np.cos(k * edges[1:])) / (k * h)
-    return P
 
 
 def make_backend(f: CovarianceSpec, basis: Basis, seed: int,

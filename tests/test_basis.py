@@ -10,15 +10,13 @@ from scipy import fft as sfft
 from spde_ch import basis as basis_module
 from spde_ch.basis import (
     NEUMANN, DIRICHLET, Basis, SpectralField, GridField, apply_operator,
-    axis_eigenfunctions, axis_norms, axis_product,
+    axis_cell_means, axis_eigenfunctions, axis_integrals, axis_norms,
+    axis_overlap, axis_product,
 )
-from spde_ch.covariance import (
-    CovarianceSpec, _axis_overlap_integrals, _constant_axis_integrals,
-    _pair_overlap, gram_operator,
-)
+from spde_ch.covariance import CovarianceSpec, gram_operator
 from spde_ch.greens import chapman_kolmogorov_check, green_function
 from spde_ch.malliavin import _mode_values_at
-from spde_ch.noise import _cell_projection_1d, make_backend
+from spde_ch.noise import make_backend
 from spde_ch.regularity import LinearOracle
 
 
@@ -532,6 +530,19 @@ def test_neumann_constant_mode_derivative_is_positive_zero(deriv):
     assert not np.any(np.signbit(rows[0]))
 
 
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+def test_axis_overlap_float_and_array_give_the_same_bits(bc):
+    # the d=1 direct Gram evaluates it at floats, the mixture table at arrays
+    u = np.concatenate([[0.0, 0.3, 1.7, math.pi],
+                        np.linspace(0.0, math.pi, 37)[1:-1]])
+    modes = Basis(bc, 1, 6).axis_modes
+    for k in modes:
+        for l in modes:
+            g = axis_overlap(bc, k, l)
+            at_floats = np.array([g(float(v)) for v in u])
+            assert at_floats.tobytes() == g(u).tobytes(), (k, l)
+
+
 # ----------------------------------------------------------------------
 # golden bits: sha256 of every route through the eigenbasis, under both
 # boundary conditions, recorded before the basis helpers were shared.
@@ -588,15 +599,17 @@ def _bc_cases(bc):
         "gram-riesz-d1": lambda: gram_operator(riesz1, b1).dense(),
         "gram-riesz-d2": lambda: gram_operator(
             CovarianceSpec.riesz(2, 1.0), Basis(bc, 2, 4)).dense(),
-        "cell-projection": lambda: _cell_projection_1d(b1, 16),
+        "cell-projection": lambda: axis_cell_means(bc, b1.axis_modes, 16),
         "projected-gram": lambda: make_backend(
             riesz1, b1, seed=0, kind="grid-cell",
             n_cells=16).sampled_gram.dense(),
         "pair-overlap": lambda: np.array([
-            _pair_overlap(b1, int(k), int(l))(v)
+            axis_overlap(bc, k, l)(v)
             for k in b1.axis_modes for l in b1.axis_modes for v in u]),
-        "axis-overlap": lambda: _axis_overlap_integrals(b1, u),
-        "constant-axis": lambda: _constant_axis_integrals(b1),
+        "axis-overlap": lambda: np.array([
+            [axis_overlap(bc, k, l)(u) for l in b1.axis_modes]
+            for k in b1.axis_modes]),
+        "constant-axis": lambda: axis_integrals(bc, b1.axis_modes),
     })
     return cases
 

@@ -53,6 +53,20 @@ class TestRunConfig:
         again = RunConfig.from_dict(config.to_dict())
         assert again.config_hash() == config.config_hash()
 
+    @pytest.mark.parametrize("workload,digest", [
+        ("ensemble-2d", "259158a0cc637a42"),
+        ("quench-4d", "5337b5fc4494169c"),
+        ("malliavin-2d", "0cff193aa215557d"),
+        ("regularity-3d", "8c20ad9436e21315"),
+    ])
+    def test_config_hash_of_the_bench_workloads_is_pinned(self, workload,
+                                                          digest):
+        # every CSV row carries config_hash, so it must not move when the
+        # config class is rewritten
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "workloads", f"{workload}.json")
+        assert RunConfig.from_file(path).config_hash() == digest
+
     def test_from_file(self, tmp_path):
         data = base_config(tmp_path)
         config = RunConfig.from_file(write_config(tmp_path, data))

@@ -61,16 +61,22 @@ def test_readme_library_example_runs():
 
 
 def test_eigenbasis_facts_live_in_basis_only():
-    """The normalisation sqrt(2/pi), the DCT/DST calls, d-axis and one-axis,
-    and the pocketfft kernel behind them are written only in
+    """The normalisation sqrt(2/pi) and every call of ``axis_norms``, the
+    sin/cos of an eigenfunction formula, the DCT/DST calls, d-axis and
+    one-axis, and the pocketfft kernel behind them are written only in
     spde_ch/basis.py; every other module reads them from there."""
     pattern = re.compile(r"sqrt\(2\.0 / math\.pi\)|sfft\.i?d[cs]tn?\b"
-                         r"|_pocketfft|pypocketfft")
+                         r"|_pocketfft|pypocketfft"
+                         r"|\b(?:np|math)\.(?:sin|cos)\(|\baxis_norms\(")
     assert pattern.search("sfft.idct(x)") and pattern.search("sfft.dst(x)")
     assert pattern.search("from scipy.fft._pocketfft import pypocketfft")
     assert pattern.search("pypocketfft.dct(x, 2)")
+    assert pattern.search("np.sin(k * x)") and pattern.search("math.cos(b)")
+    assert pattern.search("norms = axis_norms(bc, modes)")
     assert not pattern.search("sfft.set_workers(2)")
     assert not pattern.search("sfft.get_workers()")
+    assert not pattern.search("np.sinh(x) + math.cosh(x) + np.arcsin(x)")
+    assert not pattern.search("from .basis import axis_norms")
     owners = set()
     for name in sorted(os.listdir(PKG)):
         if name.endswith(".py"):

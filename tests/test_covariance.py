@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy import integrate as sint
 from scipy import special as ssp
 
-from spde_ch.basis import DIRICHLET, NEUMANN, Basis
+from spde_ch import covariance
+from spde_ch.basis import DIRICHLET, NEUMANN, Basis, axis_overlap
 from spde_ch.covariance import (ADMISSIBLE, BORDERLINE, INADMISSIBLE,
                                 CovarianceSpec, DenseGram, DiagonalGram,
                                 KroneckerMixtureGram, Rank1Gram,
@@ -419,11 +420,9 @@ class TestGramMatrix:
 
     def test_axis_overlap_against_dblquad(self):
         # independent 2-d quadrature of int int e_k(x) e_l(y) exp(-s(x-y)^2)
-        from spde_ch.covariance import _pair_overlap
-        basis = Basis(NEUMANN, 1, 4)
         s = 2.0
         for k, l in [(0, 0), (1, 1), (0, 2), (2, 2), (1, 3)]:
-            g = _pair_overlap(basis, k, l)
+            g = axis_overlap(NEUMANN, k, l)
             got, _ = sint.quad(lambda u: g(u) * math.exp(-s * u * u), 0, math.pi,
                                limit=100)
 
@@ -512,13 +511,14 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             KroneckerMixtureGram(basis, [1.0], A)
 
-    def test_mixture_dense_guard_allocates_nothing(self):
+    def test_mixture_dense_guard_allocates_nothing(self, monkeypatch):
         import tracemalloc
         op = gram_operator(CovarianceSpec.riesz(3, 1.0), Basis(NEUMANN, 3, 10))
+        monkeypatch.setattr(covariance, "MAX_DENSE_ENTRIES", 999_999)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="dense"):
-                op.dense(max_entries=999_999)
+                op.dense()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
