@@ -113,15 +113,13 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def config_hash(self) -> str:
-        """Short digest of everything that determines the numbers.
+    def _content(self) -> dict:
+        """Everything that determines the numbers: the config without outdir."""
+        return {k: v for k, v in self.to_dict().items() if k != "outdir"}
 
-        The output directory is excluded so relocated reruns stay
-        byte-identical.
-        """
-        content = self.to_dict()
-        content.pop("outdir")
-        blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
+    def config_hash(self) -> str:
+        """Short digest of _content, so relocated reruns stay byte-identical."""
+        blob = json.dumps(self._content(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     # -- builders ------------------------------------------------------
@@ -290,12 +288,13 @@ def _sha256(path) -> str:
 # commands
 
 
-def _count_option(config, name, default):
-    """options[name], or default when absent; a positive JSON integer."""
+def _count_option(config, name, default, least=1):
+    """options[name], or default when absent; a JSON integer >= least."""
     value = config.options.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least else "non-negative"
         raise ConfigError(
-            f"options.{name} must be a positive integer, got {value!r}")
+            f"options.{name} must be a {kind} integer, got {value!r}")
     return value
 
 
@@ -468,11 +467,15 @@ def _cmd_simulate(config, basis, outdir, h, threads):
 
 
 def _cmd_picard(config, basis, outdir, h, threads):
+    path = _count_option(config, "path", 0, least=0)
+    tol = config.options.get("tol", 1e-10)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ConfigError(
+            f"options.tol must be a positive finite number, got {tol!r}")
     model, solver, _, backend = _build_problem(config, basis)
     result = picard_solve(model, solver, basis, backend=backend,
-                          u0=config.initial_state(basis),
-                          path=int(config.options.get("path", 0)),
-                          tol=float(config.options.get("tol", 1e-10)))
+                          u0=config.initial_state(basis), path=path,
+                          tol=float(tol))
     rows = [(i + 1, d) for i, d in enumerate(result.deltas)]
     _write_csv(os.path.join(outdir, "picard.csv"),
                ("iteration", "delta"), rows, h)
@@ -615,8 +618,8 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     such stages), so a single-path run gains nothing from it; each
     stage's pool is used only where _map_paths finds that it pays, and
     the outputs are the same either way.  Outputs land in config.outdir;
-    the manifest records the config (and its hash), library versions, and
-    a sha256 per emitted file.
+    the manifest records the config without its outdir (and its hash),
+    library versions, and a sha256 per emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:
@@ -633,7 +636,7 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
 
     manifest = {
         "command": config.command,
-        "config": config.to_dict(),
+        "config": config._content(),
         "config_hash": h,
         "versions": {"spde_ch": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,

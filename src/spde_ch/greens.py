@@ -76,24 +76,17 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
                    time_deriv: int = 0, modes_per_axis: int | None = None):
     """Evaluate D_x^a d_t^b G(t, x; t - tau, y) by truncated mode summation.
 
-    tau, x, y may be a scalar/point or matching sequences of probes; x and y
-    are points in [0, pi]^dim (scalars allowed when dim == 1).  The truncation
+    tau, x, y may each be a single probe or a sequence of probes, broadcast
+    together; x and y are points in [0, pi]^dim (scalars allowed when dim == 1).
+    A float is returned only when all three are single probes.  The truncation
     is chosen adaptively from the smallest tau unless modes_per_axis is given.
     """
     _check_bc(bc)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    scalar_input = taus.size == 1 and np.asarray(x).size == dim
-    xs = np.asarray(x, dtype=float).reshape(-1, dim)
-    ys = np.asarray(y, dtype=float).reshape(-1, dim)
-    n = max(len(taus), len(xs), len(ys))
-    if len(taus) == 1:
-        taus = np.repeat(taus, n)
-    if len(xs) == 1:
-        xs = np.repeat(xs, n, axis=0)
-    if len(ys) == 1:
-        ys = np.repeat(ys, n, axis=0)
-    if not (len(taus) == len(xs) == len(ys)):
-        raise ValueError("tau, x, y probe lists must have matching lengths")
+    scalar_input = np.size(tau) == 1 and np.size(x) == dim and np.size(y) == dim
+    taus, xs, ys = np.broadcast_arrays(np.asarray(tau, dtype=float).reshape(-1, 1),
+                                       np.asarray(x, dtype=float).reshape(-1, dim),
+                                       np.asarray(y, dtype=float).reshape(-1, dim))
+    taus = taus[:, 0]
     if np.any(taus <= 0):
         raise ValueError("green_function requires t > s")
     if space_derivs is None:
@@ -108,14 +101,9 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
             f"pointwise kernel sum needs {cap}^{dim} modes; "
             "reduce dim, increase tau, or pass modes_per_axis")
     basis = Basis(bc, dim, cap)
-    lam2 = basis.biharmonic_eigenvalues
-
-    out = np.empty(n)
-    for i in range(n):
-        w = np.exp(-lam2 * taus[i])
-        if time_deriv:
-            w = w * (-lam2) ** time_deriv
-        out[i] = _mode_sum(basis, w, xs[i], ys[i], space_derivs)
+    d_t = (-basis.biharmonic_eigenvalues) ** time_deriv
+    out = np.array([_mode_sum(basis, _semigroup(basis, tau_i) * d_t, x_i, y_i, space_derivs)
+                    for tau_i, x_i, y_i in zip(taus, xs, ys)])
     return float(out[0]) if scalar_input else out
 
 
@@ -127,11 +115,19 @@ def _mode_sum(basis: Basis, w: np.ndarray, x, y, space_derivs):
     return axis_product(factors, lead=w).sum()
 
 
+def _semigroup(basis: Basis, t) -> np.ndarray:
+    """The package's one semigroup factor exp(-lambda_k^2 t), shape
+    t.shape + basis.shape; t (a time or an array of times) is not checked."""
+    return np.exp(-np.multiply.outer(t, basis.biharmonic_eigenvalues))
+
+
 def apply_semigroup(basis: Basis, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """Propagate coefficients by exp(-t Laplace^2): mode k -> e^{-lambda_k^2 t}."""
-    if t < 0:
+    """Propagate coefficients by exp(-t Laplace^2): mode k -> e^{-lambda_k^2 t}.
+
+    An array of times gives one propagated state per time."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    return np.asarray(coeffs) * np.exp(-basis.biharmonic_eigenvalues * t)
+    return np.asarray(coeffs) * _semigroup(basis, t)
 
 
 def chapman_kolmogorov_check(bc: str, dim: int, t: float, r: float, s: float,
@@ -144,15 +140,14 @@ def chapman_kolmogorov_check(bc: str, dim: int, t: float, r: float, s: float,
     if not t > r > s:
         raise ValueError("need t > r > s")
     basis = Basis(bc, dim, modes_per_axis)
-    lam2 = basis.biharmonic_eigenvalues
-    # composed weights: e^{-lam^2 (t-r)} * e^{-lam^2 (r-s)} per mode
-    w = np.exp(-lam2 * (t - r)) * np.exp(-lam2 * (r - s))
+    direct_w = _semigroup(basis, t - s)
+    composed_w = _semigroup(basis, t - r) * _semigroup(basis, r - s)
     worst = 0.0
     for x, y in probes:
-        direct = green_function(bc, dim, t - s, x, y, modes_per_axis=modes_per_axis)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        composed = float(_mode_sum(basis, w, x, y, (0,) * dim))
+        direct = float(_mode_sum(basis, direct_w, x, y, (0,) * dim))
+        composed = float(_mode_sum(basis, composed_w, x, y, (0,) * dim))
         worst = max(worst, abs(direct - composed))
     return worst
 
@@ -183,14 +178,9 @@ def diagonal_scaling_check(bc: str, dim: int, tau_range=(1e-4, 1e-1),
     taus = np.geomspace(lo, hi, n_tau)
     axis = np.linspace(interior_margin, math.pi - interior_margin, n_x)
     pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    rows = []
-    for tau in taus:
-        vals = green_function(bc, dim, tau, pts, pts)
-        q = tau ** (dim / 4.0) * np.asarray(vals)
-        for p, v in zip(pts, q):
-            rows.append((tau, *p, v))
-    table = np.array(rows)
-    qvals = table[:, -1]
+    qvals = np.array([tau ** (dim / 4.0) * green_function(bc, dim, tau, pts, pts)
+                      for tau in taus]).reshape(-1)
+    table = np.column_stack([np.repeat(taus, len(pts)), np.tile(pts, (n_tau, 1)), qvals])
     inf_c = float(qvals.min())
     spread = float(qvals.max() / qvals.min()) if inf_c > 0 else math.inf
     return DiagonalScaling(inf_constant=inf_c, spread=spread, table=table)
@@ -235,20 +225,14 @@ def fit_kernel_bound(bc: str, dim: int, exponents: KernelExponents,
     expo = exponents.alpha + a_total * exponents.delta + time_deriv * exponents.eta
 
     x0 = np.full(dim, math.pi / 2.0)
-    rows = []
-    diag = {}
-    for tau in taus:
-        for r in offsets:
-            y = x0.copy()
-            y[0] = x0[0] + r
-            if y[0] > math.pi:
-                continue
-            K = abs(green_function(bc, dim, tau, x0, y,
-                                   space_derivs=space_derivs, time_deriv=time_deriv))
-            rows.append([tau, r, K])
-            if r == 0.0:
-                diag[tau] = K
-    rows = np.array(rows)
+    inside = offsets[x0[0] + offsets <= math.pi]
+    ys = np.tile(x0, (len(inside), 1))
+    ys[:, 0] += inside
+    K = np.abs([green_function(bc, dim, tau, x0, ys, space_derivs=space_derivs,
+                               time_deriv=time_deriv) for tau in taus])
+    rows = np.column_stack([np.repeat(taus, len(inside)), np.tile(inside, len(taus)),
+                            K.reshape(-1)])
+    diag = {tau: k for tau, r, k in rows if r == 0.0}
 
     if c is None:
         cands = []

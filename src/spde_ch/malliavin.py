@@ -80,7 +80,7 @@ def _check_points(basis: Basis, points) -> np.ndarray:
         raise ValueError("evaluation points must lie strictly inside (0, pi)^d")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if np.allclose(pts[i], pts[j], atol=1e-12):
+            if np.allclose(pts[i], pts[j], rtol=0, atol=1e-12):
                 warnings.warn(
                     f"evaluation points {i} and {j} coincide; the Malliavin "
                     "matrix will be singular")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DIRICHLET, Basis, axis_eigenfunctions, axis_product
-from .greens import apply_semigroup
+from .greens import _semigroup, apply_semigroup
 from .solver import ModelSpec, SolverConfig, simulate
 
 TIME = "time"
@@ -126,7 +126,7 @@ class LinearOracle:
         """Var of each mode coefficient at time t."""
         lam2 = self.basis.biharmonic_eigenvalues
         safe = np.where(lam2 > 0, lam2, 1.0)
-        shape_fn = np.where(lam2 > 0, (1 - np.exp(-2 * lam2 * t)) / (2 * safe), t)
+        shape_fn = np.where(lam2 > 0, (1 - _semigroup(self.basis, 2 * t)) / (2 * safe), t)
         return self.sigma**2 * self.q_diag * shape_fn
 
     def time_increment(self, h: float, t: float = None):
@@ -134,10 +134,9 @@ class LinearOracle:
         if h <= 0:
             raise ValueError("lag must be positive")
         t = self.t_ref if t is None else float(t)
-        lam2 = self.basis.biharmonic_eigenvalues
         v_t = self.mode_variance(t)
         v_th = self.mode_variance(t + h)
-        per_mode = v_th + v_t - 2.0 * np.exp(-lam2 * h) * v_t
+        per_mode = v_th + v_t - 2.0 * _semigroup(self.basis, h) * v_t
         return float(np.sum(self.point_weight * per_mode))
 
     def space_increment(self, h: float, axis: int = 0, t: float = None):
@@ -396,7 +395,7 @@ def u0_regularity_check(u0_values, basis: Basis, mode: str = LQ_CONTINUITY,
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= 0:
         raise ValueError("sample times must be positive")
-    states = [apply_semigroup(basis, u0_hat, t) for t in times]
+    states = apply_semigroup(basis, u0_hat, times)
 
     if mode == LQ_CONTINUITY:
         vals = np.array([

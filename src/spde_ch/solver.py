@@ -33,7 +33,7 @@ import numpy as np
 from .basis import NEUMANN, DIRICHLET, Basis
 from .covariance import (INADMISSIBLE, CovarianceSpec,
                          cahn_hilliard_integrability, stochastic_integrability)
-from .greens import KernelExponents
+from .greens import KernelExponents, _semigroup
 from .noise import NoiseBackend
 
 EXPONENTIAL_EULER = "exponential-euler"
@@ -236,7 +236,7 @@ class Trajectory:
 def _propagators(basis: Basis, dt: float):
     """Per-mode weights of one step: decay, phi_1(-lambda^2 dt), noise scale."""
     z = basis.biharmonic_eigenvalues * dt
-    decay = np.exp(-z)
+    decay = _semigroup(basis, dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi1 = np.where(z > 0, -np.expm1(-z) / np.where(z > 0, z, 1.0), 1.0)
         noise_w = np.where(z > 0, np.sqrt(-np.expm1(-2 * z) / np.where(z > 0, 2 * z, 1.0)), 1.0)
@@ -279,9 +279,9 @@ def _linear_propagate(basis: Basis, dt: float, scheme: str, x, ages, out=None):
     drift.  ages is a scalar or an array; the factor has shape
     ages.shape + basis.shape and broadcasts against x.
     """
-    lam2 = basis.biharmonic_eigenvalues
     if scheme == EXPONENTIAL_EULER:
-        return np.multiply(np.exp(-np.multiply.outer(ages, lam2)), x, out=out)
+        return np.multiply(_semigroup(basis, ages), x, out=out)
+    lam2 = basis.biharmonic_eigenvalues
     steps = np.rint(np.asarray(ages) / dt).astype(int)
     denominator = 1.0 + lam2 * dt
     powers = np.stack([denominator ** int(n) for n in steps.flat])

@@ -290,6 +290,7 @@ class TestCommands:
             assert hashlib.sha256(blob).hexdigest() == digest
         saved = json.load(open(os.path.join(config.outdir, "manifest.json")))
         assert saved["config_hash"] == config.config_hash()
+        assert saved["config"] == {k: v for k, v in data.items() if k != "outdir"}
         assert saved["versions"]["spde_ch"]
 
     def test_csv_provenance_columns(self, tmp_path):
@@ -461,6 +462,26 @@ class TestCountOptions:
                 run(RunConfig.from_dict(data), force=force)
         assert started == []
 
+    @pytest.mark.parametrize("option, value, kind", [
+        ("path", -1, "non-negative integer"), ("path", 1.5, "non-negative integer"),
+        ("path", "2", "non-negative integer"), ("path", True, "non-negative integer"),
+        ("tol", -1e-8, "positive finite number"), ("tol", 0, "positive finite number"),
+        ("tol", math.nan, "positive finite number"),
+        ("tol", math.inf, "positive finite number"),
+        ("tol", "1e-8", "positive finite number"), ("tol", False, "positive finite number")])
+    def test_picard_rejects_bad_options(self, tmp_path, monkeypatch, option,
+                                        value, kind):
+        started = []
+        monkeypatch.setattr(cli, "picard_solve",
+                            lambda *args, **kwargs: started.append(args))
+        data = base_config(tmp_path, command="picard")
+        data["options"][option] = value
+        for force in (False, True):
+            with pytest.raises(ConfigError,
+                               match=rf"options\.{option} must be a {kind}"):
+                run(RunConfig.from_dict(data), force=force)
+        assert started == []
+
     def test_main_reports_the_option_even_with_force(self, tmp_path, capsys):
         data = base_config(tmp_path)
         data["options"]["paths"] = 0
@@ -486,7 +507,7 @@ class TestReproducibility:
                      threads=n)["files"]
                  for n, out in zip((1, 2, 3), outdirs)]
         assert files[1] == files[0] and files[2] == files[0]
-        for name in files[0]:
+        for name in [*files[0], "manifest.json"]:
             a, b, c = (_read_bytes(os.path.join(out, name)) for out in outdirs)
             assert a == b == c, f"{name} differs between runs"
 
@@ -747,8 +768,7 @@ class TestPathPool:
         serial = _output_bytes(tmp_path / "serial")
         assert list(serial) == list(pooled)
         for name in pooled:
-            if name != "manifest.json":     # records its outdir
-                assert serial[name] == pooled[name], name
+            assert serial[name] == pooled[name], name
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_malliavin_simulates_every_path_before_its_tangents(

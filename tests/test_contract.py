@@ -86,6 +86,19 @@ def test_eigenbasis_facts_live_in_basis_only():
     assert owners == {"basis.py"}
 
 
+def test_semigroup_lives_in_greens_only():
+    """Every e^{-lambda^2 t} of the package goes through
+    ``greens._semigroup``: ``np.exp(`` is written only in spde_ch/greens.py
+    and in spde_ch/covariance.py (the nodes of the Riesz mixture)."""
+    owners = set()
+    for name in sorted(os.listdir(PKG)):
+        if name.endswith(".py"):
+            with open(os.path.join(PKG, name)) as fh:
+                if "np.exp(" in fh.read():
+                    owners.add(name)
+    assert owners == {"greens.py", "covariance.py"}
+
+
 #: public definitions that are neither in ``__all__`` nor read by any
 #: package code, each kept on purpose
 UNREFERENCED_ALLOWED = {

@@ -85,6 +85,25 @@ def test_green_input_validation():
         green_function(NEUMANN, 5, 1e-6, [0.5] * 5, [0.5] * 5)  # tensor cap
 
 
+@pytest.mark.parametrize("dim, x, many", [
+    (1, 0.5, [0.1, 0.2, 1.4]),
+    (1, [0.5], [[0.1], [0.2], [1.4]]),
+    (2, [0.5, 0.5], [[0.1, 0.1], [0.2, 0.2], [1.4, 1.4]])])
+def test_green_function_answers_every_probe(dim, x, many):
+    """One value per probe when only x, or only y, lists several probes."""
+    singles = [green_function(NEUMANN, dim, 0.1, x, p) for p in many]
+    assert all(isinstance(v, float) for v in singles)
+    by_y = green_function(NEUMANN, dim, 0.1, x, many)
+    by_x = green_function(NEUMANN, dim, 0.1, many, x)
+    assert by_y.shape == by_x.shape == (3,)
+    assert by_y.tolist() == singles
+    assert by_x.tolist() == singles          # the kernel is symmetric
+    by_tau = green_function(NEUMANN, dim, [0.1, 0.2], x, many[1])
+    assert by_tau[0] == singles[1]
+    with pytest.raises(ValueError):
+        green_function(NEUMANN, dim, [0.1, 0.2], many, x)
+
+
 def test_mode_cutoff_monotone():
     assert mode_cutoff(1e-4) > mode_cutoff(1e-1)
     with pytest.raises(ValueError):
@@ -100,6 +119,18 @@ def test_apply_semigroup_example():
     assert np.all(out[coeffs == 0] == 0)
     with pytest.raises(ValueError):
         apply_semigroup(b, coeffs, -0.1)
+
+
+def test_apply_semigroup_array_of_times_stacks_scalar_calls():
+    b = Basis(DIRICHLET, 2, 6)
+    coeffs = np.random.default_rng(3).standard_normal(b.shape)
+    times = np.array([0.0, 1e-4, 0.037, 0.5, 2.0])
+    stacked = np.stack([apply_semigroup(b, coeffs, t) for t in times])
+    got = apply_semigroup(b, coeffs, times)
+    assert got.shape == (5,) + b.shape
+    assert got.tobytes() == stacked.tobytes()
+    with pytest.raises(ValueError, match=">= 0"):
+        apply_semigroup(b, coeffs, np.array([0.1, -1e-3, 0.2]))
 
 
 def test_semigroup_property_via_ck():
@@ -133,6 +164,30 @@ def test_diagonal_positive_dirichlet_2d():
     res = diagonal_scaling_check(DIRICHLET, 2, tau_range=(1e-4, 1e-1),
                                  interior_margin=0.3)
     assert res.inf_constant > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_diagonal_scaling_single_point(dim):
+    res = diagonal_scaling_check(NEUMANN, dim, tau_range=(1e-3, 1e-1),
+                                 n_tau=4, n_x=1)
+    assert res.table.shape == (4, dim + 2)
+    assert np.all(res.table[:, 1:-1] == 0.3)
+    assert res.inf_constant > 0
+    assert res.inf_constant == res.table[:, -1].min()
+
+
+def test_probe_tables_match_one_call_per_probe():
+    """The tables built from arrays hold the bits of one call per probe."""
+    res = diagonal_scaling_check(NEUMANN, 2, tau_range=(1e-3, 1e-1), n_tau=3, n_x=2)
+    assert res.table.shape == (12, 4)
+    for tau, *p, v in res.table:
+        assert v == tau ** 0.5 * green_function(NEUMANN, 2, tau, p, p)
+    fit = fit_kernel_bound(DIRICHLET, 1, KernelExponents.biharmonic(1),
+                           taus=[1e-3, 1e-2], offsets=[0.0, 0.5, 2.0])
+    assert fit.table[:, :2].tolist() == [[1e-3, 0.0], [1e-3, 0.5],
+                                         [1e-2, 0.0], [1e-2, 0.5]]
+    for tau, r, K, _ in fit.table:
+        assert K == abs(green_function(DIRICHLET, 1, tau, math.pi / 2, math.pi / 2 + r))
 
 
 def test_diagonal_scaling_validation():

@@ -514,6 +514,14 @@ class TestMalliavinMatrix:
             mm = malliavin_matrix(tang, np.array([[1.3], [1.3]]))
         assert mm.min_eigenvalue() == pytest.approx(0.0, abs=1e-12)
 
+    def test_close_but_distinct_points_do_not_coincide(self):
+        basis = Basis(NEUMANN, 1, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            malliavin._check_points(basis, [1.0, 1.000005])
+        with pytest.warns(UserWarning, match="points 0 and 1 coincide"):
+            malliavin._check_points(basis, [1.0, 1.0 + 1e-13])
+
     def test_point_shape_validation(self, additive_run):
         *_, tang = additive_run
         with pytest.raises(ValueError, match="shape"):
