@@ -2,9 +2,11 @@
 
 A run is described by one JSON file (model, solver, covariance, seed) and a
 command naming what to compute; for a fixed (config, seed) every emitted
-file is byte-identical across repeat runs and thread counts.  Each numeric
-table carries provenance columns (config hash, package version), and a
-manifest records the hash, library versions and per-file checksums.
+file is byte-identical across repeat runs and thread counts.  A command
+computes all of its outputs before ``run`` writes any, so a command that
+fails leaves its output directory as it was.  Each numeric table carries
+provenance columns (config hash, package version), and a manifest records
+the hash, library versions and per-file checksums.
 
 Field snapshots use a flat binary layout: the magic bytes ``SPDE1``
 followed by four little-endian uint32 words (dimension d, modes per axis
@@ -13,6 +15,7 @@ M, boundary flag 0=Neumann/1=Dirichlet, record count) and then
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -32,17 +35,15 @@ from .basis import DIRICHLET, NEUMANN, Basis
 from .covariance import (CovarianceSpec, cahn_hilliard_integrability,
                          stochastic_integrability)
 from .greens import KernelExponents, green_function
-from .malliavin import (TANGENT_SLICE_BYTES, _check_points, _model_derivatives,
-                        decomposition_terms, density_criterion,
-                        malliavin_matrix, tangent_propagate)
+from .malliavin import (C2_MARGIN, TANGENT_SLICE_BYTES, _check_nu,
+                        _check_points, _check_sigma_floor, _check_window,
+                        _model_derivatives, decomposition_terms,
+                        density_criterion, malliavin_matrix, tangent_propagate)
 from .noise import make_backend
-from .regularity import (TIME, Ensemble, holder_exponent, moment_track,
-                         structure_function)
+from .regularity import (TIME, Ensemble, _check_moment_orders, _snap_lags,
+                         holder_exponent, moment_track, structure_function)
 from .solver import (ModelSpec, SolverConfig, energy_diagnostics,
                      model_violations, picard_solve, simulate)
-
-COMMANDS = ("check-covariance", "green", "simulate", "picard",
-            "regularity", "malliavin")
 
 SNAPSHOT_MAGIC = b"SPDE1"
 _BC_FLAGS = {NEUMANN: 0, DIRICHLET: 1}
@@ -228,19 +229,35 @@ def _fmt(x) -> str:
     return "%.17g" % v
 
 
-def _write_csv(path, columns, rows, config_hash):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(columns) + ["config_hash", "version"])
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row] + [config_hash, __version__])
-
-
-def _write_jsonl(path, records):
+def _write_json(path, obj):
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _write(path, content, basis: Basis, config_hash) -> str:
+    """Write one command output in the format its file suffix names and
+    return its sha256.  A ``.csv`` is (columns, rows), a ``.jsonl`` its
+    records, a ``.json`` one object, a ``.bin`` a snapshot stack.  Every
+    CSV row and JSON object is stamped with the provenance: config_hash
+    and the package version."""
+    if path.endswith(".csv"):
+        columns, rows = content
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(columns) + ["config_hash", "version"])
+            writer.writerows([_fmt(x) for x in row] + [config_hash, __version__]
+                             for row in rows)
+    elif path.endswith(".jsonl"):
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(rec, sort_keys=True) + "\n"
+                          for rec in content)
+    elif path.endswith(".json"):
+        _write_json(path, dict(content, config_hash=config_hash,
+                               version=__version__))
+    else:
+        write_snapshot(path, basis, content)
+    return _sha256(path)
 
 
 def write_snapshot(path, basis: Basis, stack: np.ndarray):
@@ -296,6 +313,16 @@ def _count_option(config, name, default, least=1):
         raise ConfigError(
             f"options.{name} must be a {kind} integer, got {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def _option_errors(name):
+    """Raise a ValueError or TypeError of the library's own check of
+    options[name] as a ConfigError naming the option."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"options.{name}: {e}") from None
 
 
 def _build_problem(config, basis):
@@ -380,7 +407,7 @@ def _refined_points(basis):
     return (2 * basis.modes_per_axis) ** basis.dim
 
 
-def _cmd_check_covariance(config, basis, outdir, h, threads):
+def _cmd_check_covariance(config, basis, threads):
     if config.covariance is None:
         raise ConfigError("check-covariance needs a covariance block")
     dim = basis.dim
@@ -403,13 +430,11 @@ def _cmd_check_covariance(config, basis, outdir, h, threads):
             ch = cahn_hilliard_integrability(f, float(eps))
             rows.append((f.kind, B, dim, ch.condition_id, ch.verdict,
                          ch.margin))
-    _write_csv(os.path.join(outdir, "covariance.csv"),
-               ("kind", "B", "dim", "condition", "verdict", "margin"),
-               rows, h)
-    return ["covariance.csv"]
+    return {"covariance.csv": (("kind", "B", "dim", "condition", "verdict",
+                                "margin"), rows)}
 
 
-def _cmd_green(config, basis, outdir, h, threads):
+def _cmd_green(config, basis, threads):
     d = basis.dim
     taus = config.options.get("taus") or [1e-3, 1e-2, 1e-1]
     center = [math.pi / 2] * d
@@ -425,11 +450,10 @@ def _cmd_green(config, basis, outdir, h, threads):
                                                float(tau)**(d / 4.0) * value]))
     cols = (["tau"] + [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(d)]
             + ["value", "scaled_value"])
-    _write_csv(os.path.join(outdir, "green.csv"), cols, rows, h)
-    return ["green.csv"]
+    return {"green.csv": (cols, rows)}
 
 
-def _cmd_simulate(config, basis, outdir, h, threads):
+def _cmd_simulate(config, basis, threads):
     n_paths = _count_option(config, "paths", 1)
     model, solver, _, backend = _build_problem(config, basis)
     path_run = _simulator(model, solver, basis, backend,
@@ -454,19 +478,15 @@ def _cmd_simulate(config, basis, outdir, h, threads):
         series.append(record)
         finals.append(traj.final)
 
-    _write_csv(os.path.join(outdir, "paths.csv"),
-               ("path", "exploded", "stop_time", "final_norm", "final_l2_sq",
-                "final_dissipation"), summary, h)
-    _write_jsonl(os.path.join(outdir, "series.jsonl"), series)
-    files = ["paths.csv", "series.jsonl"]
+    outputs = {"paths.csv": (("path", "exploded", "stop_time", "final_norm",
+                              "final_l2_sq", "final_dissipation"), summary),
+               "series.jsonl": series}
     if config.options.get("snapshots"):
-        write_snapshot(os.path.join(outdir, "snapshots.bin"), basis,
-                       np.stack(finals))
-        files.append("snapshots.bin")
-    return files
+        outputs["snapshots.bin"] = np.stack(finals)
+    return outputs
 
 
-def _cmd_picard(config, basis, outdir, h, threads):
+def _cmd_picard(config, basis, threads):
     path = _count_option(config, "path", 0, least=0)
     tol = config.options.get("tol", 1e-10)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
@@ -477,29 +497,34 @@ def _cmd_picard(config, basis, outdir, h, threads):
                           u0=config.initial_state(basis), path=path,
                           tol=float(tol))
     rows = [(i + 1, d) for i, d in enumerate(result.deltas)]
-    _write_csv(os.path.join(outdir, "picard.csv"),
-               ("iteration", "delta"), rows, h)
-    _write_jsonl(os.path.join(outdir, "picard.jsonl"),
-                 [{"converged": bool(result.converged),
-                   "iterations": int(result.iterations),
-                   "final_norm": float(result.trajectory.norms[-1])}])
-    return ["picard.csv", "picard.jsonl"]
+    return {"picard.csv": (("iteration", "delta"), rows),
+            "picard.jsonl": [{"converged": bool(result.converged),
+                              "iterations": int(result.iterations),
+                              "final_norm": float(result.trajectory.norms[-1])}]}
 
 
-def _cmd_regularity(config, basis, outdir, h, threads):
+def _cmd_regularity(config, basis, threads):
     n_paths = _count_option(config, "paths", 50)
     model, solver, _, backend = _build_problem(config, basis)
-    trajs = _map_paths(_simulator(model, solver, basis, backend,
-                                  config.initial_state(basis)),
-                       n_paths, threads, _refined_points(basis))
-    ensemble = Ensemble(basis, trajs)
-
     dt = solver.dt * solver.store_every
     t_lags = config.options.get("time_lags") or list(
         np.geomspace(2 * dt, solver.t_final / 4, 6))
     s_lags = config.options.get("space_lags") or list(
         np.geomspace(2 * basis.spacing, math.pi / 4, 6))
+    # the paths are recorded every dt up to n_steps solver steps
+    for name, axis, lags in (("time_lags", TIME, t_lags),
+                             ("space_lags", 0, s_lags)):
+        with _option_errors(name):
+            _snap_lags(lags, axis, basis.spacing, dt,
+                       solver.n_steps * solver.dt)
+    with _option_errors("moment_p"):
+        p = float(config.options.get("moment_p", 2.0))
+        _check_moment_orders(solver.q, p)
 
+    trajs = _map_paths(_simulator(model, solver, basis, backend,
+                                  config.initial_state(basis)),
+                       n_paths, threads, _refined_points(basis))
+    ensemble = Ensemble(basis, trajs)
     rows, fits = [], []
     for axis, lags in ((TIME, t_lags), (0, s_lags)):
         sf = structure_function(ensemble, axis, lags)
@@ -510,20 +535,15 @@ def _cmd_regularity(config, basis, outdir, h, threads):
                      "slope": fit.slope, "stderr": fit.stderr,
                      "saturated": bool(fit.saturated),
                      "n_lags": int(fit.n_lags)})
-    _write_csv(os.path.join(outdir, "structure.csv"),
-               ("axis", "lag", "value", "stderr"), rows, h)
-    _write_jsonl(os.path.join(outdir, "fits.jsonl"), fits)
-
-    track = moment_track(ensemble, q=solver.q,
-                         p=float(config.options.get("moment_p", 2.0)))
+    track = moment_track(ensemble, q=solver.q, p=p)
     m_rows = [(t, v, track.sup_value, track.growing)
               for t, v in zip(track.times, track.values)]
-    _write_csv(os.path.join(outdir, "moments.csv"),
-               ("time", "value", "sup_value", "growing"), m_rows, h)
-    return ["structure.csv", "fits.jsonl", "moments.csv"]
+    return {"structure.csv": (("axis", "lag", "value", "stderr"), rows),
+            "fits.jsonl": fits,
+            "moments.csv": (("time", "value", "sup_value", "growing"), m_rows)}
 
 
-def _cmd_malliavin(config, basis, outdir, h, threads):
+def _cmd_malliavin(config, basis, threads):
     n_paths = _count_option(config, "paths", 1)
     thin = _count_option(config, "thin", 1)
     model, solver, f, backend = _build_problem(config, basis)
@@ -531,13 +551,25 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
         raise ConfigError("malliavin needs a covariance block")
     jacobians = config._jacobians()
     _model_derivatives(model, jacobians)
-    nu = float(config.options.get("nu", 1.0 / 32.0))
+    with _option_errors("nu"):
+        nu = float(config.options.get("nu", 1.0 / 32.0))
+        _check_nu(nu)
+    sigma_floor = config.options.get("sigma_floor")
+    with _option_errors("sigma_floor"):
+        _check_sigma_floor(sigma_floor)
     d = basis.dim
-    points = _check_points(basis, config.options.get("points") or [
-        [math.pi / 2] * d, [math.pi / 3] * d])
+    with _option_errors("points"):
+        points = _check_points(basis, config.options.get("points") or [
+            [math.pi / 2] * d, [math.pi / 3] * d])
     taus = config.options.get("taus") or [solver.t_final / 8,
                                           solver.t_final / 4,
                                           solver.t_final / 2]
+    # the tangents end at the last of the times every path records
+    times = np.arange(solver.n_steps + 1) * solver.dt
+    with _option_errors("taus"):
+        for tau in taus:
+            _check_window(times, times[-1], solver.n_steps, float(tau),
+                          points, C2_MARGIN)
     # The paths are simulated first, as a stage of their own: run inside
     # the tangent task, the simulation made a pool thread's tangent time
     # swing by up to 40% from one process to the next, which a separate
@@ -575,26 +607,18 @@ def _cmd_malliavin(config, basis, outdir, h, threads):
         gammas.append(mm)
         eig_rows += eigs
         dec_rows += decs
-    _write_csv(os.path.join(outdir, "eigenvalues.csv"),
-               ("path", "index", "eigenvalue"), eig_rows, h)
-    _write_csv(os.path.join(outdir, "decomposition.csv"),
-               ("tau", "i1", "i2", "i3_max", "i4_max", "lower_bound"),
-               dec_rows, h)
-
-    report = density_criterion(gammas, f, nu=nu,
-                               sigma_floor=config.options.get("sigma_floor"))
-    payload = {"verdict": report.verdict, "analytic_ok": report.analytic_ok,
-               "exponent_primary": report.exponent_primary,
-               "exponent_cross": report.exponent_cross,
-               "b_effective": report.b_effective, "nu": report.nu,
-               "positive_fraction": report.positive_fraction,
-               "smallest_eigenvalue": report.smallest_eigenvalue,
-               "notes": list(report.notes),
-               "config_hash": h, "version": __version__}
-    with open(os.path.join(outdir, "density.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return ["eigenvalues.csv", "decomposition.csv", "density.json"]
+    report = density_criterion(gammas, f, nu=nu, sigma_floor=sigma_floor)
+    return {"eigenvalues.csv": (("path", "index", "eigenvalue"), eig_rows),
+            "decomposition.csv": (("tau", "i1", "i2", "i3_max", "i4_max",
+                                   "lower_bound"), dec_rows),
+            "density.json": {
+                "verdict": report.verdict, "analytic_ok": report.analytic_ok,
+                "exponent_primary": report.exponent_primary,
+                "exponent_cross": report.exponent_cross,
+                "b_effective": report.b_effective, "nu": report.nu,
+                "positive_fraction": report.positive_fraction,
+                "smallest_eigenvalue": report.smallest_eigenvalue,
+                "notes": list(report.notes)}}
 
 
 _HANDLERS = {
@@ -605,21 +629,26 @@ _HANDLERS = {
     "regularity": _cmd_regularity,
     "malliavin": _cmd_malliavin,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
-    """Execute one command and return the manifest that was written.
+    """Execute one command, write its outputs and return the manifest.
 
     The validation report gates the run: violated hypotheses abort unless
     force is set, and even then a model hypothesis raises the ValueError
-    of ModelSpec.validate.  threads bounds the width of the thread pool
-    that runs the paths of simulate, regularity and malliavin, one path
-    per task (malliavin simulates its paths, then analyses them, in two
-    such stages), so a single-path run gains nothing from it; each
-    stage's pool is used only where _map_paths finds that it pays, and
-    the outputs are the same either way.  Outputs land in config.outdir;
-    the manifest records the config without its outdir (and its hash),
-    library versions, and a sha256 per emitted file.
+    of ModelSpec.validate.  The command's handler checks its options
+    before its first path and returns every output as {file name:
+    content}; only then does run create config.outdir and write them,
+    each through _write, so a command that raises leaves the directory as
+    it was.  threads bounds the width of the thread pool that runs the
+    paths of simulate, regularity and malliavin, one path per task
+    (malliavin simulates its paths, then analyses them, in two such
+    stages), so a single-path run gains nothing from it; each stage's
+    pool is used only where _map_paths finds that it pays, and the
+    outputs are the same either way.  The manifest, written last, records
+    the config without its outdir (and its hash), library versions, and
+    a sha256 per emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:
@@ -628,12 +657,10 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
                           violations=report["violations"])
 
     basis = config.build_basis()
+    outputs = _HANDLERS[config.command](config, basis, max(1, int(threads)))
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     h = config.config_hash()
-    files = _HANDLERS[config.command](config, basis, outdir, h,
-                                      max(1, int(threads)))
-
     manifest = {
         "command": config.command,
         "config": config._content(),
@@ -641,12 +668,11 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
         "versions": {"spde_ch": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
-        "files": {name: _sha256(os.path.join(outdir, name)) for name in files},
+        "files": {name: _write(os.path.join(outdir, name), content, basis, h)
+                  for name, content in outputs.items()},
         "validation": report,
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
 
 

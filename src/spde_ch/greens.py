@@ -78,11 +78,15 @@ def green_function(bc: str, dim: int, tau, x, y, space_derivs=None,
 
     tau, x, y may each be a single probe or a sequence of probes, broadcast
     together; x and y are points in [0, pi]^dim (scalars allowed when dim == 1).
-    A float is returned only when all three are single probes.  The truncation
-    is chosen adaptively from the smallest tau unless modes_per_axis is given.
+    The shape decides the result: a float only when tau is a scalar and x and
+    y are each one point, a length-dim sequence (or a scalar when dim == 1);
+    an (n, dim) array of points, or a sequence of taus, gives an array of n
+    values.  The truncation is chosen adaptively from the smallest tau unless
+    modes_per_axis is given.
     """
     _check_bc(bc)
-    scalar_input = np.size(tau) == 1 and np.size(x) == dim and np.size(y) == dim
+    scalar_input = np.ndim(tau) == 0 and all(
+        np.ndim(p) <= 1 and np.size(p) == dim for p in (x, y))
     taus, xs, ys = np.broadcast_arrays(np.asarray(tau, dtype=float).reshape(-1, 1),
                                        np.asarray(x, dtype=float).reshape(-1, dim),
                                        np.asarray(y, dtype=float).reshape(-1, dim))
@@ -226,6 +230,10 @@ def fit_kernel_bound(bc: str, dim: int, exponents: KernelExponents,
 
     x0 = np.full(dim, math.pi / 2.0)
     inside = offsets[x0[0] + offsets <= math.pi]
+    if inside.size == 0:
+        raise ValueError(
+            f"offsets {offsets.tolist()} leave no probe: y = pi/2 + r must "
+            "stay in [0, pi], so some offset r must be <= pi/2")
     ys = np.tile(x0, (len(inside), 1))
     ys[:, 0] += inside
     K = np.abs([green_function(bc, dim, tau, x0, ys, space_derivs=space_derivs,

@@ -490,6 +490,26 @@ class DecompositionTerms:
     margin: float
 
 
+def _check_window(times, t0, n_to, tau, pts, c2):
+    """(first step, interior margin) of the window [t0 - tau, t0) on the
+    recorded times, t0 = times[n_to], after checking decomposition_terms'
+    preconditions: tau in (0, t0/2], a step inside the window, and every
+    point at distance >= 2 c2 tau^{1/4} from the boundary."""
+    if not 0.0 < tau <= t0 / 2 + 1e-12:
+        raise ValueError(f"tau must lie in (0, t0/2], got {tau} with t0={t0}")
+    m0 = int(np.searchsorted(times, t0 - tau - 1e-12))
+    if m0 >= n_to:
+        raise ValueError("window [t0-tau, t0) contains no steps at "
+                         f"dt={float(times[1] - times[0])}")
+    margin = float(np.minimum(pts, math.pi - pts).min())
+    needed = 2.0 * c2 * tau ** 0.25
+    if margin < needed:
+        raise ValueError(
+            f"interior margin {margin:.4g} is below 2 c2 tau^(1/4) = "
+            f"{needed:.4g}; move the points inward or shrink tau")
+    return m0, margin
+
+
 def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
                         gram, points, tau: float, v=None, t0: float = None,
                         tangent: TangentState = None,
@@ -525,19 +545,7 @@ def decomposition_terms(traj: Trajectory, model: ModelSpec, basis: Basis,
         t0 = tangent.t0
     dt, t0, n_to = _trajectory_clock(traj, t0)
     times = traj.times
-
-    if not 0.0 < tau <= t0 / 2 + 1e-12:
-        raise ValueError(f"tau must lie in (0, t0/2], got {tau} with t0={t0}")
-    m0 = int(np.searchsorted(times, t0 - tau - 1e-12))
-    if m0 >= n_to:
-        raise ValueError(f"window [t0-tau, t0) contains no steps at dt={dt}")
-
-    margin = float(np.minimum(pts, math.pi - pts).min())
-    needed = 2.0 * c2 * tau ** 0.25
-    if margin < needed:
-        raise ValueError(
-            f"interior margin {margin:.4g} is below 2 c2 tau^(1/4) = "
-            f"{needed:.4g}; move the points inward or shrink tau")
+    m0, margin = _check_window(times, t0, n_to, tau, pts, c2)
 
     if v is None:
         v = np.full(l, 1.0 / math.sqrt(l))
@@ -643,6 +651,16 @@ def _effective_origin_power(f: CovarianceSpec) -> float:
     return float(f.fitted_origin_power())
 
 
+def _check_nu(nu):
+    if not 0.0 < nu < 0.25:
+        raise ValueError(f"nu must lie in (0, 1/4), got {nu}")
+
+
+def _check_sigma_floor(sigma_floor):
+    if sigma_floor is not None and sigma_floor <= 0:
+        raise ValueError("sigma_floor must be positive when given")
+
+
 def density_criterion(gammas, f: CovarianceSpec, nu: float,
                       sigma_floor: float = None) -> DensityReport:
     """Combine the empirical spectral floor with the analytic limit check.
@@ -655,10 +673,8 @@ def density_criterion(gammas, f: CovarianceSpec, nu: float,
     eigenvalue is strictly positive; all-degenerate input (for instance a
     model with sigma = 0) yields the verdict "degenerate".
     """
-    if not 0.0 < nu < 0.25:
-        raise ValueError(f"nu must lie in (0, 1/4), got {nu}")
-    if sigma_floor is not None and sigma_floor <= 0:
-        raise ValueError("sigma_floor must be positive when given")
+    _check_nu(nu)
+    _check_sigma_floor(sigma_floor)
 
     if isinstance(gammas, MalliavinMatrix) or (
             isinstance(gammas, np.ndarray) and gammas.ndim == 2):

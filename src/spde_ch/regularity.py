@@ -162,7 +162,13 @@ class LinearOracle:
         return float(np.sum(weight * self.mode_variance(t)))
 
 
-def _snap_lags(lags, unit, lo, hi, what):
+def _snap_lags(lags, axis, spacing, dt, T):
+    """(grid steps, effective lags) of lags on the time axis, recorded at
+    step dt up to T, or on a space axis of grid spacing; every lag must lie
+    in the resolved range, [2 dt, T/4] in time and [2 spacing, pi/4] in
+    space."""
+    unit, lo, hi, what = ((dt, 2 * dt, T / 4, "time") if axis == TIME else
+                          (spacing, 2 * spacing, math.pi / 4, "space"))
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
     if lags.size == 0:
         raise ValueError("need at least one lag")
@@ -171,7 +177,7 @@ def _snap_lags(lags, unit, lo, hi, what):
             raise ValueError(
                 f"{what} lag {h} outside the resolved range [{lo:.4g}, {hi:.4g}]")
     steps = np.maximum(1, np.round(lags / unit).astype(int))
-    return steps
+    return steps, steps * unit
 
 
 def _ensemble_increment_moments(ensemble: Ensemble, axis, lags, t_base):
@@ -183,16 +189,11 @@ def _ensemble_increment_moments(ensemble: Ensemble, axis, lags, t_base):
     dt = float(times[1] - times[0])
     T = float(times[-1])
 
-    if axis == TIME:
-        steps = _snap_lags(lags, dt, 2 * dt, T / 4, "time")
-        eff = steps * dt
-    else:
+    if axis != TIME:
         axis = int(axis)
         if not 0 <= axis < basis.dim:
             raise ValueError(f"space axis must be in [0, {basis.dim})")
-        spacing = basis.spacing
-        steps = _snap_lags(lags, spacing, 2 * spacing, math.pi / 4, "space")
-        eff = steps * spacing
+    steps, eff = _snap_lags(lags, axis, basis.spacing, dt, T)
 
     if t_base is not None:
         i0 = int(np.argmin(np.abs(times - t_base)))
@@ -320,6 +321,11 @@ class MomentTrack:
     growing: bool             # sup doubled between the two halves of [0, T]
 
 
+def _check_moment_orders(q, p):
+    if q < 1 or p <= 0:
+        raise ValueError(f"need q >= 1 and p > 0, got q={q}, p={p}")
+
+
 def moment_track(ensemble: Ensemble, q: float = 2.0, p: float = 2.0) -> MomentTrack:
     """Track the p-th moment of the L^q norm over the recorded times.
 
@@ -327,8 +333,7 @@ def moment_track(ensemble: Ensemble, q: float = 2.0, p: float = 2.0) -> MomentTr
     through).  The growth flag compares the sup over the first half of the
     time range with the sup over the second half.
     """
-    if q < 1 or p <= 0:
-        raise ValueError("need q >= 1 and p > 0")
+    _check_moment_orders(q, p)
     basis = ensemble.basis
     times = ensemble.times
     acc = np.zeros(len(times))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from spde_ch import cli, solver
 from spde_ch.basis import Basis
+from spde_ch.covariance import Rank1Gram
 from spde_ch.cli import (ConfigError, RunConfig, main, read_snapshot, run,
                          validate, write_snapshot)
 from spde_ch.malliavin import decomposition_terms, tangent_propagate
@@ -258,6 +260,23 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="does not match"):
             write_snapshot(str(tmp_path / "x.bin"), basis, np.zeros((3, 5)))
 
+    def test_unknown_boundary_flag_rejected(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        write_snapshot(str(path), Basis("neumann", 1, 4), np.zeros(4))
+        raw = bytearray(path.read_bytes())
+        raw[5 + 8:5 + 12] = struct.pack("<I", 2)     # the third header word
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown boundary flag 2"):
+            read_snapshot(str(path))
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        write_snapshot(str(path), Basis("dirichlet", 2, 3), np.ones((2, 3, 3)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError,
+                           match="payload has 17 values, expected 18"):
+            read_snapshot(str(path))
+
 
 class TestCommands:
 
@@ -482,6 +501,32 @@ class TestCountOptions:
                 run(RunConfig.from_dict(data), force=force)
         assert started == []
 
+    @pytest.mark.parametrize("command, options, name", [
+        ("malliavin", {"nu": 0.3}, "nu"),
+        ("malliavin", {"nu": 0}, "nu"),
+        ("malliavin", {"nu": "x"}, "nu"),
+        ("malliavin", {"sigma_floor": -1.0}, "sigma_floor"),
+        ("malliavin", {"points": [[0.0]]}, "points"),
+        ("malliavin", {"taus": [0.015]}, "taus"),        # above t0/2 = 0.01
+        ("malliavin", {"taus": [0.0005]}, "taus"),       # no step in window
+        ("malliavin", {"taus": [0.01], "points": [[0.05]]}, "taus"),  # margin
+        ("regularity", {"moment_p": -1}, "moment_p"),
+        ("regularity", {"moment_p": 0}, "moment_p"),
+        ("regularity", {"time_lags": [0.5]}, "time_lags"),
+        ("regularity", {"space_lags": [0.01, 0.5]}, "space_lags")])
+    def test_library_rules_run_before_any_path(self, tmp_path, monkeypatch,
+                                               command, options, name):
+        def simulate_must_not_run(*args, **kwargs):
+            raise AssertionError("a path ran before the options were checked")
+
+        monkeypatch.setattr(cli, "simulate", simulate_must_not_run)
+        data = base_config(tmp_path, command=command)
+        data["options"].update(options)
+        for force in (False, True):
+            with pytest.raises(ConfigError, match=rf"^options\.{name}: "):
+                run(RunConfig.from_dict(data), force=force)
+        assert not os.path.exists(data["outdir"])
+
     def test_main_reports_the_option_even_with_force(self, tmp_path, capsys):
         data = base_config(tmp_path)
         data["options"]["paths"] = 0
@@ -491,6 +536,92 @@ class TestCountOptions:
         assert error["type"] == "ConfigError"
         assert "options.paths" in error["message"]
         assert not os.path.exists(tmp_path / "out" / "paths.csv")
+
+
+def command_config(tmp_path, command, outdir="out"):
+    """A small config of each command, with its outputs in tmp_path/outdir."""
+    data = base_config(tmp_path, command=command, outdir=str(tmp_path / outdir))
+    if command == "picard":
+        data.update(model={"sigma": 0.2,
+                           "drifts": [{"orders": [0], "poly": [0.0, 0.5]}],
+                           "lipschitz_only": True},
+                    options={"tol": 1e-8})
+    return data
+
+
+def fail_at(monkeypatch, name):
+    """Make the CLI's call of the library function name raise."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("late failure")
+
+    monkeypatch.setattr(cli, name, fail)
+
+
+# the last library call of each command
+LAST_CALLS = pytest.mark.parametrize("command, last_call", [
+    ("check-covariance", "stochastic_integrability"),
+    ("green", "green_function"), ("simulate", "energy_diagnostics"),
+    ("picard", "picard_solve"), ("regularity", "moment_track"),
+    ("malliavin", "density_criterion")])
+
+
+class TestFailedCommandWritesNothing:
+
+    @LAST_CALLS
+    def test_earlier_run_left_byte_identical(self, tmp_path, monkeypatch,
+                                             command, last_call):
+        data = command_config(tmp_path, command)
+        run(RunConfig.from_dict(data))
+        before = _output_bytes(data["outdir"])
+        assert "manifest.json" in before
+        fail_at(monkeypatch, last_call)
+        # another seed would change every file that a path feeds
+        with pytest.raises(RuntimeError, match="late failure"):
+            run(RunConfig.from_dict(dict(data, seed=8)))
+        assert _output_bytes(data["outdir"]) == before
+
+    @LAST_CALLS
+    def test_missing_outdir_not_created(self, tmp_path, monkeypatch, command,
+                                        last_call):
+        data = command_config(tmp_path, command)
+        fail_at(monkeypatch, last_call)
+        with pytest.raises(RuntimeError, match="late failure"):
+            run(RunConfig.from_dict(data))
+        assert not os.path.exists(data["outdir"])
+
+
+class TestConstantCovariance:
+    """A spatially constant kernel: Q = c v v^T with v_k the integral of
+    e_k, so one Gaussian direction drives every mode."""
+
+    def test_simulate_draws_one_noise_direction(self, tmp_path):
+        data = base_config(tmp_path, covariance={"kind": "constant", "c": 0.5})
+        data["options"]["snapshots"] = True
+        config = RunConfig.from_dict(data)
+        f, backend = config.build_backend(config.build_basis())
+        assert (f.kind, f.c) == ("constant", 0.5)
+        assert isinstance(backend.gram, Rank1Gram)
+        assert backend.factor.shape == (16, 1) and backend.n_directions == 1
+        manifest = run(config)
+        assert manifest["validation"]["passed"]
+        _, _, _, finals = read_snapshot(os.path.join(config.outdir,
+                                                     "snapshots.bin"))
+        assert finals.shape == (2, 16) and np.all(np.isfinite(finals))
+        assert not np.array_equal(finals[0], finals[1])
+
+    def test_check_covariance_row_has_no_riesz_exponent(self, tmp_path):
+        data = base_config(tmp_path, command="check-covariance",
+                           covariance={"kind": "constant", "c": 0.5})
+        # B_values is read for Riesz kernels only
+        data["options"] = {"B_values": [0.1, 0.2], "eps": 0.2}
+        config = RunConfig.from_dict(data)
+        run(config)
+        with open(os.path.join(config.outdir, "covariance.csv")) as fh:
+            rows = [(r["kind"], r["B"], r["condition"], r["verdict"])
+                    for r in csv.DictReader(fh)]
+        assert rows == [
+            ("constant", "", "stochastic-integrability", "admissible"),
+            ("constant", "", "cahn-hilliard(eps=0.2)", "admissible")]
 
 
 class TestReproducibility:

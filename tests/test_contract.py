@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import spde_ch
+from spde_ch import cli
 
 PUBLIC_NAMES = [
     "NEUMANN", "DIRICHLET", "Basis", "SpectralField", "GridField",
@@ -180,3 +181,45 @@ def test_every_public_definition_is_exported_or_used():
             with open(os.path.join(PKG, name)) as fh:
                 sources[name[:-3]] = fh.read()
     assert _unreferenced(sources, spde_ch.__all__) == UNREFERENCED_ALLOWED
+
+
+#: the one output writer of the CLI: run, the writer it calls per file, and
+#: the JSON and snapshot routines that writer shares with the manifest and
+#: with library callers
+CLI_WRITERS = {"run", "_write", "_write_json", "write_snapshot"}
+
+
+def _writes(node):
+    """Whether node calls a file writer of the CLI, or open() in a mode
+    other than reading."""
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+            continue
+        if call.func.id in {"_write", "_write_json", "_write_csv",
+                            "_write_jsonl", "write_snapshot"}:
+            return True
+        if call.func.id == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                return True
+    return False
+
+
+def test_cli_commands_compute_and_run_writes():
+    """Each command handler takes (config, basis, threads) and returns its
+    outputs; only run and its writer touch the output directory, so a
+    command that raises leaves it as it was."""
+    with open(os.path.join(PKG, "cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    writing = {getattr(node, "name", "<module>") for node in tree.body
+               if _writes(node)}
+    assert writing == CLI_WRITERS
+    handlers = {node.name: [a.arg for a in node.args.args]
+                for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")}
+    assert len(handlers) == 6
+    for name, params in handlers.items():
+        assert params == ["config", "basis", "threads"], name
+    assert cli.COMMANDS == tuple(cli._HANDLERS)

@@ -238,3 +238,27 @@ def test_fitted_constant_scales_like_power_law():
     res = diagonal_scaling_check(NEUMANN, 1, tau_range=(1e-5, 1e-2), n_tau=9)
     vals = res.table[:, -1]
     assert vals.max() / vals.min() < 5.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_green_function_result_follows_the_probe_shape(dim):
+    """A float for one tau and one point each of x and y; an array of n
+    values for (n, dim) point arrays or a sequence of taus, n = 1 too."""
+    x, y = [0.5] * dim, [0.7] * dim
+    value = green_function(NEUMANN, dim, 0.1, x, y)
+    assert isinstance(value, float)
+    assert green_function(NEUMANN, dim, 0.1, np.array(x), tuple(y)) == value
+    if dim == 1:
+        assert green_function(NEUMANN, 1, 0.1, 0.5, 0.7) == value
+    for args in [(0.1, np.array([x]), np.array([y])), (0.1, np.array([x]), y),
+                 (0.1, x, np.array([y])), ([0.1], x, y),
+                 ([0.1], np.array([x]), np.array([y]))]:
+        got = green_function(NEUMANN, dim, *args)
+        assert isinstance(got, np.ndarray) and got.tolist() == [value]
+
+
+def test_fit_kernel_bound_needs_an_offset_inside_the_domain():
+    with pytest.raises(ValueError,
+                       match=r"offsets \[2\.0, 3\.0\] leave no probe.*<= pi/2"):
+        fit_kernel_bound(NEUMANN, 1, KernelExponents.biharmonic(1),
+                         offsets=[2.0, 3.0])
