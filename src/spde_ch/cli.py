@@ -2,11 +2,12 @@
 
 A run is described by one JSON file (model, solver, covariance, seed) and a
 command naming what to compute; for a fixed (config, seed) every emitted
-file is byte-identical across repeat runs and thread counts.  A command
-computes all of its outputs before ``run`` writes any, so a command that
-fails leaves its output directory as it was.  Each numeric table carries
-provenance columns (config hash, package version), and a manifest records
-the hash, library versions and per-file checksums.
+file is byte-identical across repeat runs and ``--threads`` values (the
+number of forked processes that run the paths).  A command computes all
+of its outputs before ``run`` writes any, so a command that fails leaves
+its output directory as it was.  Each numeric table carries provenance
+columns (config hash, package version), and a manifest records the hash,
+library versions and per-file checksums.
 
 Field snapshots use a flat binary layout: the magic bytes ``SPDE1``
 followed by four little-endian uint32 words (dimension d, modes per axis
@@ -24,7 +25,6 @@ import math
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -35,8 +35,8 @@ from .basis import DIRICHLET, NEUMANN, Basis
 from .covariance import (CovarianceSpec, cahn_hilliard_integrability,
                          stochastic_integrability)
 from .greens import KernelExponents, green_function
-from .malliavin import (C2_MARGIN, TANGENT_SLICE_BYTES, _check_nu,
-                        _check_points, _check_sigma_floor, _check_window,
+from .malliavin import (C2_MARGIN, _check_nu, _check_points,
+                        _check_sigma_floor, _check_store_every, _check_window,
                         _model_derivatives, decomposition_terms,
                         density_criterion, malliavin_matrix, tangent_propagate)
 from .noise import make_backend
@@ -316,13 +316,13 @@ def _count_option(config, name, default, least=1):
 
 
 @contextlib.contextmanager
-def _option_errors(name):
+def _option_errors(name, block="options"):
     """Raise a ValueError or TypeError of the library's own check of
-    options[name] as a ConfigError naming the option."""
+    config.<block>[name] as a ConfigError naming the key."""
     try:
         yield
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"options.{name}: {e}") from None
+        raise ConfigError(f"{block}.{name}: {e}") from None
 
 
 def _build_problem(config, basis):
@@ -333,12 +333,6 @@ def _build_problem(config, basis):
     if model.has_noise and backend is None:
         raise ConfigError("model has noise but no covariance block was given")
     return model, solver, f, backend
-
-
-# A pool pays only where every call of a path's task works on at least
-# this many grid points: below it the threads queue on the interpreter lock
-# between numpy calls (README, "Outputs are deterministic").
-POOL_MIN_POINTS = 4096
 
 
 @functools.cache
@@ -368,30 +362,68 @@ def _openblas_threads():
     return None
 
 
-def _map_paths(task, n_paths, threads, points):
-    """[task(path) for path in range(n_paths)], pooled where it pays.
+def _run_share(task, paths, conn):
+    """A forked worker of _map_paths: send (True, results) or (False, error)."""
+    try:
+        reply = True, [task(path) for path in paths]
+    except Exception as e:  # noqa: BLE001 - raised again in the parent
+        reply = False, e
+    conn.send(reply)
 
-    task(path) is one path's whole work, and points the size of the arrays
-    its numpy and pocketfft calls work on.  The paths run on a pool of
-    min(threads, n_paths) threads only when that width is above 1, points
-    reaches POOL_MIN_POINTS, and numpy's OpenBLAS can be held at one thread
-    for the pool's lifetime, so that the pool threads do not oversubscribe
-    the cores through BLAS; otherwise they run serially.  Results come back
-    in path order, and the noise streams are keyed by (step, path), so
-    outputs do not depend on the choice.
+
+def _map_paths(task, n_paths, threads):
+    """[task(path) for path in range(n_paths)] on min(threads, n_paths)
+    processes.  Path p runs on worker p % width: worker 0 is this process,
+    the others are forked children that send their share back, pickled,
+    over a pipe.  A child's exception is raised here, and a child that dies
+    without sending raises a RuntimeError naming its exit code; on any
+    error the children are terminated, and all are joined before this
+    returns.  Each worker holds numpy's OpenBLAS at one thread, so as not
+    to oversubscribe the cores.  Where the width is 1, or os.fork or the
+    BLAS setter is missing, the paths run serially.  The noise streams are
+    keyed by (step, path), so outputs do not depend on the choice.
     """
     width = min(threads, n_paths)
-    blas = (_openblas_threads() if width > 1 and points >= POOL_MIN_POINTS
-            else None)
+    blas = _openblas_threads() if width > 1 and hasattr(os, "fork") else None
     if blas is None:
         return [task(path) for path in range(n_paths)]
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
     get, set_ = blas
     before = get()
     set_(1)
+    sys.stdout.flush()  # or every child writes the buffered lines again
+    sys.stderr.flush()
+    children = []
     try:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            return list(pool.map(task, range(n_paths)))
+        for worker in range(1, width):
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_share, daemon=True, args=(
+                task, range(worker, n_paths, width), send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        results = [None] * n_paths
+        results[::width] = [task(path) for path in range(0, n_paths, width)]
+        for worker, (child, recv) in enumerate(children, 1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"path worker {worker} sent no results "
+                                   f"(exit code {child.exitcode})") from None
+            if not ok:
+                raise value
+            results[worker::width] = value
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
     finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
         set_(before)
 
 
@@ -400,11 +432,6 @@ def _simulator(model, solver, basis, backend, u0):
     # so simulate() is not handed the kernel to check it again per path.
     return lambda path: simulate(model, solver, basis, backend=backend,
                                  u0=u0, path=path)
-
-
-def _refined_points(basis):
-    """Points of the factor-2 refined grid that every step synthesises."""
-    return (2 * basis.modes_per_axis) ** basis.dim
 
 
 def _cmd_check_covariance(config, basis, threads):
@@ -464,8 +491,7 @@ def _cmd_simulate(config, basis, threads):
         return traj, energy_diagnostics(traj, basis, model=model)
 
     summary, series, finals = [], [], []
-    for traj, diag in _map_paths(task, n_paths, threads,
-                                 _refined_points(basis)):
+    for traj, diag in _map_paths(task, n_paths, threads):
         summary.append((traj.path, traj.exploded, traj.stop_time,
                         traj.norms[-1], diag["l2_sq"][-1],
                         diag["cum_dissipation"][-1]))
@@ -523,7 +549,7 @@ def _cmd_regularity(config, basis, threads):
 
     trajs = _map_paths(_simulator(model, solver, basis, backend,
                                   config.initial_state(basis)),
-                       n_paths, threads, _refined_points(basis))
+                       n_paths, threads)
     ensemble = Ensemble(basis, trajs)
     rows, fits = [], []
     for axis, lags in ((TIME, t_lags), (0, s_lags)):
@@ -551,6 +577,8 @@ def _cmd_malliavin(config, basis, threads):
         raise ConfigError("malliavin needs a covariance block")
     jacobians = config._jacobians()
     _model_derivatives(model, jacobians)
+    with _option_errors("store_every", "solver"):
+        _check_store_every(solver.store_every)
     with _option_errors("nu"):
         nu = float(config.options.get("nu", 1.0 / 32.0))
         _check_nu(nu)
@@ -570,19 +598,17 @@ def _cmd_malliavin(config, basis, threads):
         for tau in taus:
             _check_window(times, times[-1], solver.n_steps, float(tau),
                           points, C2_MARGIN)
-    # The paths are simulated first, as a stage of their own: run inside
-    # the tangent task, the simulation made a pool thread's tangent time
-    # swing by up to 40% from one process to the next, which a separate
-    # stage does not.  A trajectory holds a tangent state's values for one
-    # noise direction, so holding them all costs little next to one
-    # tangent state.
+    # The paths are simulated first, as a stage of their own (inside the
+    # tangent task, the simulation made a pooled tangent's time swing by up
+    # to 40% from one process to the next).  A trajectory holds one noise
+    # direction's values of a tangent state, so holding them all costs little.
     trajs = _map_paths(_simulator(model, solver, basis, backend,
                                   config.initial_state(basis)),
-                       n_paths, threads, _refined_points(basis))
+                       n_paths, threads)
 
     def analyse(path):
         # The tangent state, the largest object of the run, dies with this
-        # call, so at most one per pool thread is alive at a time.
+        # call, so at most one per worker is alive at a time.
         traj = trajs[path]
         tang = tangent_propagate(traj, model, solver, basis, backend,
                                  thin=thin, jacobians=jacobians)
@@ -600,10 +626,7 @@ def _cmd_malliavin(config, basis, threads):
         return mm, eig_rows, dec_rows
 
     eig_rows, dec_rows, gammas = [], [], []
-    # tangent_propagate advances its fields in slices of
-    # TANGENT_SLICE_BYTES of refined-grid values
-    for mm, eigs, decs in _map_paths(analyse, n_paths, threads,
-                                     TANGENT_SLICE_BYTES // 8):
+    for mm, eigs, decs in _map_paths(analyse, n_paths, threads):
         gammas.append(mm)
         eig_rows += eigs
         dec_rows += decs
@@ -641,14 +664,12 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     before its first path and returns every output as {file name:
     content}; only then does run create config.outdir and write them,
     each through _write, so a command that raises leaves the directory as
-    it was.  threads bounds the width of the thread pool that runs the
-    paths of simulate, regularity and malliavin, one path per task
-    (malliavin simulates its paths, then analyses them, in two such
-    stages), so a single-path run gains nothing from it; each stage's
-    pool is used only where _map_paths finds that it pays, and the
-    outputs are the same either way.  The manifest, written last, records
-    the config without its outdir (and its hash), library versions, and
-    a sha256 per emitted file.
+    it was.  threads bounds the number of processes that run the paths of
+    simulate, regularity and malliavin (_map_paths; malliavin simulates
+    its paths, then analyses them, in two such stages), so a single-path
+    run gains nothing from it, and the outputs are the same at any value.
+    The manifest, written last, records the config without its outdir
+    (and its hash), library versions, and a sha256 per emitted file.
     """
     report = validate(config)
     if not report["passed"] and not force:
@@ -705,9 +726,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None, help="override the output dir")
         p.add_argument("--threads", type=int, default=None,
-                       help="threads for the path loop, at most one per "
-                            "path, used where the state is large enough "
-                            f"to gain (fallback: ${THREADS_ENV})")
+                       help="processes for the path loop, at most one per "
+                            f"path (fallback: ${THREADS_ENV})")
         p.add_argument("--force", action="store_true",
                        help="run despite violated kernel, eps or q "
                             "hypotheses (model hypotheses still refuse)")

@@ -589,12 +589,17 @@ class KroneckerMixtureGram(GramOperator):
         return out
 
     def diagonal(self):
-        d = self.basis.dim
+        # Term by term into one buffer, from term 0 on in j order, as
+        # np.sum(axis=0) adds the stacked (J, M^d) terms: the same bits in
+        # O(M^d) memory.
         diags = np.einsum("jkk->jk", self.axis_mats)      # (J, M)
-        out = self.weights.copy()
-        for _ in range(d):
-            out = out[..., None] * diags.reshape((len(self.weights),) + (1,) * (out.ndim - 1) + (-1,))
-        return np.sum(out, axis=0)
+        out = None
+        for w, a in zip(self.weights, diags):
+            term = w
+            for _ in range(self.basis.dim):
+                term = np.multiply.outer(term, a)
+            out = term if out is None else np.add(out, term, out=out)
+        return out
 
     def dense(self):
         n = self.basis.n_modes

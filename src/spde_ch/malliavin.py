@@ -266,6 +266,15 @@ def _trajectory_clock(traj: Trajectory, t0):
     return dt, t0, n_to
 
 
+def _check_store_every(store_every):
+    """tangent_propagate linearises the scheme along every step of the path,
+    so it needs a trajectory recorded at every step."""
+    if store_every != 1:
+        raise ValueError("tangent propagation needs every step recorded; "
+                         f"got store_every={store_every}, rerun with "
+                         "store_every=1")
+
+
 def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
                       basis: Basis, backend: NoiseBackend, t0: float = None,
                       thin: int = 1, jacobians=None) -> TangentState:
@@ -291,6 +300,7 @@ def tangent_propagate(traj: Trajectory, model: ModelSpec, config: SolverConfig,
     its cutoff level before t0.
     """
     _check_problem(model, basis, backend=backend, needs_backend=True)
+    _check_store_every(config.store_every)
     if thin < 1 or int(thin) != thin:
         raise ValueError(f"thin must be a positive integer, got {thin}")
     thin = int(thin)

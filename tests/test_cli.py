@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import struct
+import time
 import weakref
 
 import numpy as np
@@ -527,6 +529,21 @@ class TestCountOptions:
                 run(RunConfig.from_dict(data), force=force)
         assert not os.path.exists(data["outdir"])
 
+    @pytest.mark.parametrize("store_every", [2, 20])
+    def test_malliavin_refuses_thinned_records_before_any_path(
+            self, tmp_path, monkeypatch, store_every):
+        def simulate_must_not_run(*args, **kwargs):
+            raise AssertionError("a path ran before store_every was checked")
+
+        monkeypatch.setattr(cli, "simulate", simulate_must_not_run)
+        data = base_config(tmp_path, command="malliavin")
+        data["solver"]["store_every"] = store_every
+        for force in (False, True):
+            with pytest.raises(ConfigError, match=r"^solver\.store_every: "
+                               r"tangent propagation needs every step"):
+                run(RunConfig.from_dict(data), force=force)
+        assert not os.path.exists(data["outdir"])
+
     def test_main_reports_the_option_even_with_force(self, tmp_path, capsys):
         data = base_config(tmp_path)
         data["options"]["paths"] = 0
@@ -732,20 +749,22 @@ class TestReproducibility:
         assert a != b
 
 
-def pooled_config(tmp_path, command, outdir="out"):
-    """d=3, M=8, 3 paths: the factor-2 refined grid has exactly
-    cli.POOL_MIN_POINTS points, so every command runs in the pool.  10
-    steps, or 5 for malliavin, whose tangents cost n_steps^2 transforms of
-    512 directions."""
+def pooled_config(tmp_path, command, outdir="out", dim=3, modes=8):
+    """3 paths on a d-dimensional basis, d=3 and M=8 unless given, with a
+    Riesz kernel of B = min(d/2, 1): 10 steps, or 5 for malliavin, whose
+    tangents cost n_steps^2 transforms of M^d directions.  d=2, M=16 is
+    the state of the bench's 2-d ensemble, and its simulate records every
+    5th step as that ensemble records every 20th."""
     t_final = 0.001 if command == "malliavin" else 0.002
+    solver = {"dt": 0.0002, "t_final": t_final, "q": 4.0, "truncation": 10.0}
+    if (dim, modes) == (2, 16) and command == "simulate":
+        solver["store_every"] = 5
     data = base_config(
         tmp_path, command=command,
-        basis={"bc": "neumann", "dim": 3, "modes_per_axis": 8},
-        solver={"dt": 0.0002, "t_final": t_final, "q": 4.0,
-                "truncation": 10.0},
-        covariance={"kind": "riesz", "B": 1.0},
+        basis={"bc": "neumann", "dim": dim, "modes_per_axis": modes},
+        solver=solver, covariance={"kind": "riesz", "B": min(dim / 2, 1.0)},
         outdir=str(tmp_path / outdir))
-    data["options"] = {"paths": 3, "u0_modes": [[[1, 0, 0], 0.3]]}
+    data["options"] = {"paths": 3, "u0_modes": [[[1] + [0] * (dim - 1), 0.3]]}
     if command == "malliavin":
         data["options"]["taus"] = [0.0002, 0.0004]
     return data
@@ -756,30 +775,67 @@ def _output_bytes(outdir):
             for name in sorted(os.listdir(outdir))}
 
 
-def record_pools(monkeypatch):
-    """Replace ThreadPoolExecutor by one that runs tasks in order and
-    records (width, task count) per pool built."""
-    pools = []
+def record_events(monkeypatch, tmp_path, names=("simulate",
+                                                "tangent_propagate")):
+    """Make every call of cli.<name>, in whichever process makes it, first
+    append the line "pid name path blas live" to a log under tmp_path:
+    blas is the OpenBLAS thread count (0 where no getter is found) and live
+    the number of tangent states that the calling process still holds.
+    Returns a reader of the log as (pid, name, path, blas, live) tuples in
+    call order."""
+    log = tmp_path / "events.log"
+    get = (cli._openblas_threads() or (lambda: 0,))[0]
+    live = []
 
-    class RecordingPool:
+    def recorder(name, original):
+        def recording(*args, **kwargs):
+            path = (kwargs["path"] if name == "simulate" else args[0].path)
+            held = sum(ref() is not None for ref in live)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {name} {path} {get()} {held}\n")
+            result = original(*args, **kwargs)
+            if name == "tangent_propagate":
+                live.append(weakref.ref(result))
+            return result
+        return recording
 
-        def __init__(self, max_workers):
-            self.entry = [max_workers, None]
-            pools.append(self.entry)
+    for name in names:
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
 
-        def __enter__(self):
-            return self
+    def read():
+        if not log.exists():
+            return []
+        return [(int(pid), name, int(path), int(blas), int(held))
+                for pid, name, path, blas, held
+                in (line.split() for line in log.read_text().splitlines())]
+    return read
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            items = list(items)
-            self.entry[1] = len(items)
-            return map(fn, items)
+def stage_width(events, name, n_paths):
+    """The number of processes that ran stage name, after checking that
+    every path ran once, path p on worker p % width, and this process
+    (worker 0) ran its share."""
+    workers = {}
+    for pid, event, path, _, _ in events:
+        if event == name:
+            workers.setdefault(pid, []).append(path)
+    assert sorted(p for paths in workers.values() for p in paths) == list(
+        range(n_paths))
+    width = len(workers)
+    assert workers[os.getpid()] == list(range(0, n_paths, width))
+    shares = sorted(paths for pid, paths in workers.items()
+                    if pid != os.getpid())
+    assert shares == [list(range(w, n_paths, width)) for w in range(1, width)]
+    return width
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    return pools
+
+def pooled_widths(events, command, n_paths):
+    """The width of each stage of command that ran on more than one
+    process, in stage order."""
+    stages = (["simulate", "tangent_propagate"] if command == "malliavin"
+              else ["simulate"])
+    widths = [stage_width(events, name, n_paths) for name in stages]
+    return [w for w in widths if w > 1]
 
 
 # At d=3, M=8 every default lag of regularity snaps to one grid lag, and
@@ -789,20 +845,19 @@ def record_pools(monkeypatch):
 class TestPathPool:
 
     @pytest.mark.parametrize("command, paths, threads, widths", [
-        ("simulate", 3, 1, []), ("simulate", 3, 2, []),
-        ("simulate", 3, 8, []), ("simulate", 1, 4, []),
-        ("malliavin", 2, 3, [2]), ("regularity", 4, 2, []),
+        ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
+        ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
+        ("malliavin", 2, 3, [2, 2]), ("regularity", 4, 2, [2]),
     ])
     def test_pool_width_is_threads_capped_by_paths(self, tmp_path, monkeypatch,
                                                    command, paths, threads,
                                                    widths):
-        # a d=1, M=16 state is far below POOL_MIN_POINTS, so simulate and
-        # regularity run serially; a tangent slice always reaches it
-        pools = record_pools(monkeypatch)
+        # a d=1, M=16 state pools like any other
+        events = record_events(monkeypatch, tmp_path)
         data = base_config(tmp_path, command=command)
         data["options"]["paths"] = paths
         run(RunConfig.from_dict(data), threads=threads)
-        assert pools == [[w, paths] for w in widths]
+        assert pooled_widths(events(), command, paths) == widths
 
     @pytest.mark.parametrize("command, paths, threads, widths", [
         ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
@@ -812,16 +867,23 @@ class TestPathPool:
     ])
     def test_states_at_the_threshold_pool(self, tmp_path, monkeypatch,
                                           command, paths, threads, widths):
-        pools = record_pools(monkeypatch)
+        # d=3, M=8 states pool on the same widths as the d=1 states above
+        events = record_events(monkeypatch, tmp_path)
         data = pooled_config(tmp_path, command)
         data["options"]["paths"] = paths
         run(RunConfig.from_dict(data), threads=threads)
-        assert pools == [[w, paths] for w in widths]
+        assert pooled_widths(events(), command, paths) == widths
 
-    @pytest.mark.parametrize("command", ["simulate", "regularity",
-                                         "malliavin"])
-    def test_pooled_runs_byte_identical(self, tmp_path, command):
-        data = pooled_config(tmp_path, command)
+    @pytest.mark.parametrize("command, dim, modes", [
+        pytest.param("simulate", 3, 8, id="simulate"),
+        pytest.param("regularity", 3, 8, id="regularity"),
+        pytest.param("malliavin", 3, 8, id="malliavin"),
+        pytest.param("simulate", 2, 16, id="simulate-2d-M16"),
+        pytest.param("regularity", 2, 16, id="regularity-2d-M16"),
+        pytest.param("simulate", 1, 16, id="simulate-1d-M16"),
+    ])
+    def test_pooled_runs_byte_identical(self, tmp_path, command, dim, modes):
+        data = pooled_config(tmp_path, command, dim=dim, modes=modes)
         data["options"]["snapshots"] = True
         outputs = {}
         for threads in (1, 2, 3):
@@ -854,47 +916,59 @@ class TestPathPool:
     def test_blas_thread_count_restored(self, tmp_path, monkeypatch,
                                         blas_at_two, command):
         get = blas_at_two
-        seen = []
-        original = cli.simulate
-
-        def recording(*args, **kwargs):
-            seen.append(get())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "simulate", recording)
+        events = record_events(monkeypatch, tmp_path)
         run(RunConfig.from_dict(pooled_config(tmp_path, command)), threads=2)
-        assert seen == [1, 1, 1]
+        seen = events()
+        assert pooled_widths(seen, command, 3) == (
+            [2, 2] if command == "malliavin" else [2])
+        assert [blas for _, name, _, blas, _ in seen
+                if name == "simulate"] == [1, 1, 1]
+        assert all(blas == 1 for _, _, _, blas, _ in seen)
         assert get() == 2
 
     def test_blas_thread_count_restored_when_a_path_raises(self, tmp_path,
                                                            monkeypatch,
                                                            blas_at_two):
+        # path 0 raises in this process, path 1 in the forked worker
         get = blas_at_two
         original = cli.simulate
+        for failing_path in (0, 1):
+            def failing(*args, path=0, **kwargs):
+                if path == failing_path:
+                    raise RuntimeError(f"path {path} failed")
+                return original(*args, path=path, **kwargs)
 
-        def failing(*args, path=0, **kwargs):
-            if path == 1:
-                raise RuntimeError("path 1 failed")
-            return original(*args, path=path, **kwargs)
-
-        monkeypatch.setattr(cli, "simulate", failing)
-        pools = record_pools(monkeypatch)
-        with pytest.raises(RuntimeError, match="path 1 failed"):
-            run(RunConfig.from_dict(pooled_config(tmp_path, "simulate")),
-                threads=2)
-        assert pools == [[2, 3]]
-        assert get() == 2
+            monkeypatch.setattr(cli, "simulate", failing)
+            log = tmp_path / str(failing_path)
+            log.mkdir()
+            events = record_events(monkeypatch, log, names=("simulate",))
+            with pytest.raises(RuntimeError,
+                               match=f"^path {failing_path} failed$"):
+                run(RunConfig.from_dict(pooled_config(tmp_path, "simulate")),
+                    threads=2)
+            ran = {path: (pid, blas) for pid, _, path, blas, _ in events()}
+            workers = {path: pid == os.getpid()
+                       for path, (pid, _) in ran.items()}
+            assert workers[failing_path] == (failing_path == 0)
+            assert all(blas == 1 for _, blas in ran.values())
+            assert get() == 2
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["simulate", "regularity"])
     def test_no_blas_setter_runs_serially(self, tmp_path, monkeypatch,
                                           command):
+        events = record_events(monkeypatch, tmp_path, names=("simulate",))
         run(RunConfig.from_dict(pooled_config(tmp_path, command, "pooled")),
             threads=2)
+        assert pooled_widths(events(), command, 3) == [2]
         monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
-        pools = record_pools(monkeypatch)
+        serial_log = tmp_path / "serial-log"
+        serial_log.mkdir()
+        events = record_events(monkeypatch, serial_log, names=("simulate",))
         run(RunConfig.from_dict(pooled_config(tmp_path, command, "serial")),
             threads=2)
-        assert pools == []
+        assert [(pid, path) for pid, _, path, _, _ in events()] == [
+            (os.getpid(), path) for path in range(3)]
         pooled = _output_bytes(tmp_path / "pooled")
         serial = _output_bytes(tmp_path / "serial")
         assert list(serial) == list(pooled)
@@ -904,42 +978,59 @@ class TestPathPool:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_malliavin_simulates_every_path_before_its_tangents(
             self, tmp_path, monkeypatch, threads):
-        events = []
-        simulate_, propagate_ = cli.simulate, cli.tangent_propagate
-
-        def simulate(*args, **kwargs):
-            events.append("simulate")
-            return simulate_(*args, **kwargs)
-
-        def propagate(*args, **kwargs):
-            events.append("tangent")
-            return propagate_(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "simulate", simulate)
-        monkeypatch.setattr(cli, "tangent_propagate", propagate)
+        events = record_events(monkeypatch, tmp_path)
         data = base_config(tmp_path, command="malliavin")
         data["options"]["paths"] = 3
         run(RunConfig.from_dict(data), threads=threads)
-        assert events == ["simulate"] * 3 + ["tangent"] * 3
+        seen = events()
+        assert [name for _, name, *_ in seen] == (
+            ["simulate"] * 3 + ["tangent_propagate"] * 3)
+        assert pooled_widths(seen, "malliavin", 3) == (
+            [threads, threads] if threads > 1 else [])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_malliavin_keeps_one_tangent_per_thread(self, tmp_path,
                                                    monkeypatch, threads):
-        live, seen = [], []
-        original = cli.tangent_propagate
-
-        def propagate(*args, **kwargs):
-            seen.append(sum(ref() is not None for ref in live))
-            tangent = original(*args, **kwargs)
-            live.append(weakref.ref(tangent))
-            return tangent
-
-        monkeypatch.setattr(cli, "tangent_propagate", propagate)
+        # every process holds no tangent state when it starts the next
+        events = record_events(monkeypatch, tmp_path)
         data = base_config(tmp_path, command="malliavin")
         data["options"]["paths"] = 3
         run(RunConfig.from_dict(data), threads=threads)
-        assert len(seen) == 3
-        assert max(seen) < threads
+        tangents = [(pid, held) for pid, name, _, _, held in events()
+                    if name == "tangent_propagate"]
+        assert len(tangents) == 3
+        assert len({pid for pid, _ in tangents}) == threads
+        assert all(held == 0 for _, held in tangents)
+
+    def test_worker_failures_surface_and_leave_no_process(self):
+        # a path that raises here, one that raises in a forked worker, and
+        # a worker that exits without sending
+        def task(fail):
+            def run_path(path):
+                if path == fail[0]:
+                    fail[1]()
+                if path == 1 and fail[0] == 0:
+                    time.sleep(60)          # terminated, not waited for
+                return path * path
+            return run_path
+
+        def raise_value():
+            raise ValueError("bad value in path")
+
+        def raise_lookup():
+            raise LookupError("no such entry")
+
+        cases = [((0, raise_value), ValueError, "^bad value in path$"),
+                 ((1, raise_lookup), LookupError, "^'?no such entry'?$"),
+                 ((1, lambda: os._exit(3)), RuntimeError, r"exit code 3\b")]
+        for fail, error, message in cases:
+            start = time.monotonic()
+            with pytest.raises(error, match=message):
+                cli._map_paths(task(fail), 4, 2)
+            assert time.monotonic() - start < 30
+            assert multiprocessing.active_children() == []
+        assert cli._map_paths(task((None, None)), 5, 3) == [0, 1, 4, 9, 16]
+        assert multiprocessing.active_children() == []
 
 
 class TestMain:

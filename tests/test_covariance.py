@@ -504,6 +504,39 @@ class TestGramMatrix:
         assert Q.shape == (n, n)
         assert peak <= 2 * n * n * 8
 
+    @pytest.mark.parametrize("dim,M", [(2, 12), (3, 10), (4, 8), (5, 4)])
+    def test_mixture_diagonal_matches_stacked_sum_bitwise(self, dim, M):
+        op = gram_operator(CovarianceSpec.riesz(dim, 1.0),
+                           Basis(NEUMANN, dim, M), method="mixture")
+        # reference: every term stacked into one (J, M, .., M) array, then
+        # summed over the term axis
+        diags = np.einsum("jkk->jk", op.axis_mats)
+        ref = op.weights.copy()
+        for _ in range(dim):
+            ref = ref[..., None] * diags.reshape(
+                (len(op.weights),) + (1,) * (ref.ndim - 1) + (-1,))
+        ref = np.sum(ref, axis=0)
+        got = op.diagonal()
+        assert got.shape == op.basis.shape
+        assert np.array_equal(got, ref)
+
+    def test_mixture_diagonal_peak_memory(self):
+        # the accumulator, one term and its last factor; the stacked terms
+        # would peak near J M^d doubles (J = 169 at d=5, M=8)
+        import tracemalloc
+        op = gram_operator(CovarianceSpec.riesz(5, 1.0), Basis(NEUMANN, 5, 8),
+                           method="mixture")
+        size = op.basis.n_modes * 8
+        tracemalloc.start()
+        try:
+            diag = op.diagonal()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.shape == op.basis.shape
+        assert len(op.weights) > 10
+        assert peak <= 3 * size
+
     def test_mixture_rejects_asymmetric_axis_matrices(self):
         # dense() forms each mirrored pair of entries once
         basis = Basis(NEUMANN, 2, 3)

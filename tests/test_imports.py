@@ -4,11 +4,14 @@ Quadrature (scipy.integrate, which pulls in scipy.optimize) and scipy.linalg
 are imported only on the routes that use them (radial conditions on a
 tabulated kernel are closed forms and use neither), and no route of a simulate
 run imports scipy.fft or scipy.special (both load scipy's array-API layer,
-whose import costs more than a short run).  The checks run in a fresh
+whose import costs more than a short run).  multiprocessing is imported
+only by a path loop that runs on more than one process, as its import
+raises the peak memory of a serial run.  The checks run in a fresh
 interpreter, because other test modules import these packages into the
 pytest process itself.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +63,17 @@ print(",".join(loaded))
 """
 
 
+SERIAL_SCRIPT = r"""
+import sys
+import tempfile
+import spde_ch.cli as cli
+with tempfile.TemporaryDirectory() as out:
+    cli.main(["simulate", "--config", sys.argv[1], "--out", out,
+              "--threads", "1"])
+print("multiprocessing" in sys.modules)
+"""
+
+
 TABLE_SCRIPT = r"""
 import sys
 import numpy as np
@@ -77,12 +91,12 @@ print(",".join(loaded))
 """
 
 
-def _fresh_stdout(script):
+def _fresh_stdout(script, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(spde_ch.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -94,6 +108,18 @@ def test_riesz_setup_loads_no_quadrature_or_scipy_linalg():
 
 def test_simulate_run_loads_neither_scipy_fft_nor_scipy_special():
     assert _fresh_stdout(SIMULATE_SCRIPT) == ""
+
+
+def test_serial_run_loads_no_multiprocessing(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "command": "simulate",
+        "basis": {"bc": "neumann", "dim": 2, "modes_per_axis": 6},
+        "model": {"reaction": [1.0, 0.0, -1.0, 0.0], "sigma": 0.1},
+        "solver": {"dt": 0.001, "t_final": 0.01, "q": 4.0, "truncation": 8.0},
+        "covariance": {"kind": "riesz", "B": 1.0},
+        "options": {"paths": 2}}))
+    assert _fresh_stdout(SERIAL_SCRIPT, str(config)).splitlines()[-1] == "False"
 
 
 def test_tabulated_conditions_load_no_quadrature():
