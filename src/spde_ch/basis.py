@@ -45,8 +45,8 @@ costs more than a short run, is never imported.
 
 Each basis computes its constants once: the coefficient scale
 spacing^(d/2), the quadrature weight spacing^d and ``shape``.  A basis holds
-no buffer: pool threads share one basis, so every call allocates its own
-arrays, and the transforms scale their fresh kernel outputs in place.  The
+no buffer: every call allocates its own arrays, which its caller may
+keep, and the transforms scale their fresh kernel outputs in place.  The
 refined synthesis divides the coefficients straight into its padded buffer.
 
 Refined grids (``values_on_refined_grid``/``coeffs_from_refined_grid``) zero

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import struct
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -48,8 +49,6 @@ from .solver import (ModelSpec, SolverConfig, energy_diagnostics,
 SNAPSHOT_MAGIC = b"SPDE1"
 _BC_FLAGS = {NEUMANN: 0, DIRICHLET: 1}
 _BC_NAMES = {0: NEUMANN, 1: DIRICHLET}
-
-THREADS_ENV = "SPDE_CH_THREADS"
 
 
 class ConfigError(ValueError):
@@ -363,20 +362,28 @@ def _openblas_threads():
 
 
 def _run_share(task, paths, conn):
-    """A forked worker of _map_paths: send (True, results) or (False, error)."""
+    """A forked worker of _map_paths: send (True, results) or (False, error),
+    pickled.  An error that pickle cannot carry and rebuild goes as a
+    RuntimeError naming the worker and the error's type and message."""
     try:
-        reply = True, [task(path) for path in paths]
+        blob = pickle.dumps((True, [task(path) for path in paths]))
     except Exception as e:  # noqa: BLE001 - raised again in the parent
-        reply = False, e
-    conn.send(reply)
+        try:
+            blob = pickle.dumps((False, e))
+            pickle.loads(blob)
+        except Exception:  # noqa: BLE001 - e cannot cross the pipe
+            blob = pickle.dumps((False, RuntimeError(
+                f"path worker {paths.start} failed: {type(e).__name__}: {e}")))
+    conn.send_bytes(blob)
 
 
 def _map_paths(task, n_paths, threads):
     """[task(path) for path in range(n_paths)] on min(threads, n_paths)
     processes.  Path p runs on worker p % width: worker 0 is this process,
     the others are forked children that send their share back, pickled,
-    over a pipe.  A child's exception is raised here, and a child that dies
-    without sending raises a RuntimeError naming its exit code; on any
+    over a pipe.  A child's exception is raised here (as a RuntimeError
+    where it does not survive pickling), and a child that dies without
+    sending raises a RuntimeError naming its exit code; on any
     error the children are terminated, and all are joined before this
     returns.  Each worker holds numpy's OpenBLAS at one thread, so as not
     to oversubscribe the cores.  Where the width is 1, or os.fork or the
@@ -407,7 +414,7 @@ def _map_paths(task, n_paths, threads):
         results[::width] = [task(path) for path in range(0, n_paths, width)]
         for worker, (child, recv) in enumerate(children, 1):
             try:
-                ok, value = recv.recv()
+                ok, value = pickle.loads(recv.recv_bytes())
             except EOFError:
                 child.join()
                 raise RuntimeError(f"path worker {worker} sent no results "
@@ -533,16 +540,24 @@ def _cmd_regularity(config, basis, threads):
     n_paths = _count_option(config, "paths", 50)
     model, solver, _, backend = _build_problem(config, basis)
     dt = solver.dt * solver.store_every
-    t_lags = config.options.get("time_lags") or list(
-        np.geomspace(2 * dt, solver.t_final / 4, 6))
-    s_lags = config.options.get("space_lags") or list(
-        np.geomspace(2 * basis.spacing, math.pi / 4, 6))
-    # the paths are recorded every dt up to n_steps solver steps
-    for name, axis, lags in (("time_lags", TIME, t_lags),
-                             ("space_lags", 0, s_lags)):
-        with _option_errors(name):
+    axes = []
+    # the paths are recorded every dt up to n_steps solver steps; the
+    # default lags span the resolved range, and `empty` says what empties it
+    for name, axis, lo, hi, empty in (
+            ("time_lags", TIME, 2 * dt, solver.t_final / 4,
+             "solver.t_final: t_final < 8 * dt * store_every"),
+            ("space_lags", 0, 2 * basis.spacing, math.pi / 4,
+             "basis.modes_per_axis: 2 * spacing > pi/4")):
+        given = config.options.get(name)
+        lags = given or list(np.geomspace(lo, hi, 6))
+        try:
             _snap_lags(lags, axis, basis.spacing, dt,
                        solver.n_steps * solver.dt)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"options.{name}: {e}" if given else (
+                f"{empty} empties the range [{lo:.4g}, {hi:.4g}] of the "
+                f"default {name.replace('_', ' ')}")) from None
+        axes.append((axis, lags))
     with _option_errors("moment_p"):
         p = float(config.options.get("moment_p", 2.0))
         _check_moment_orders(solver.q, p)
@@ -552,7 +567,7 @@ def _cmd_regularity(config, basis, threads):
                        n_paths, threads)
     ensemble = Ensemble(basis, trajs)
     rows, fits = [], []
-    for axis, lags in ((TIME, t_lags), (0, s_lags)):
+    for axis, lags in axes:
         sf = structure_function(ensemble, axis, lags)
         for lag, val, err in zip(sf.lags, sf.values, sf.errors):
             rows.append((str(axis), lag, val, err))
@@ -598,18 +613,13 @@ def _cmd_malliavin(config, basis, threads):
         for tau in taus:
             _check_window(times, times[-1], solver.n_steps, float(tau),
                           points, C2_MARGIN)
-    # The paths are simulated first, as a stage of their own (inside the
-    # tangent task, the simulation made a pooled tangent's time swing by up
-    # to 40% from one process to the next).  A trajectory holds one noise
-    # direction's values of a tangent state, so holding them all costs little.
-    trajs = _map_paths(_simulator(model, solver, basis, backend,
-                                  config.initial_state(basis)),
-                       n_paths, threads)
+    path_run = _simulator(model, solver, basis, backend,
+                          config.initial_state(basis))
 
     def analyse(path):
-        # The tangent state, the largest object of the run, dies with this
-        # call, so at most one per worker is alive at a time.
-        traj = trajs[path]
+        # The trajectory and its tangent state, the largest object of the
+        # run, die with this call, so each worker holds one of each at most.
+        traj = path_run(path)
         tang = tangent_propagate(traj, model, solver, basis, backend,
                                  thin=thin, jacobians=jacobians)
         mm = malliavin_matrix(tang, points)
@@ -665,9 +675,9 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
     content}; only then does run create config.outdir and write them,
     each through _write, so a command that raises leaves the directory as
     it was.  threads bounds the number of processes that run the paths of
-    simulate, regularity and malliavin (_map_paths; malliavin simulates
-    its paths, then analyses them, in two such stages), so a single-path
-    run gains nothing from it, and the outputs are the same at any value.
+    simulate, regularity and malliavin (_map_paths, one stage per
+    command), so a single-path run gains nothing from it, and the outputs
+    are the same at any value.
     The manifest, written last, records the config without its outdir
     (and its hash), library versions, and a sha256 per emitted file.
     """
@@ -701,18 +711,6 @@ def run(config: RunConfig, force: bool = False, threads: int = 1) -> dict:
 # entry point
 
 
-def _resolve_threads(arg_value) -> int:
-    if arg_value is not None:
-        return max(1, int(arg_value))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spde-ch",
@@ -725,9 +723,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="override the output dir")
-        p.add_argument("--threads", type=int, default=None,
-                       help="processes for the path loop, at most one per "
-                            f"path (fallback: ${THREADS_ENV})")
+        p.add_argument("--threads", type=int, default=1,
+                       help="processes for the paths, at most one per path")
         p.add_argument("--force", action="store_true",
                        help="run despite violated kernel, eps or q "
                             "hypotheses (model hypotheses still refuse)")
@@ -746,8 +743,7 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.outdir = args.out
-        threads = _resolve_threads(args.threads)
-        manifest = run(config, force=args.force, threads=threads)
+        manifest = run(config, force=args.force, threads=args.threads)
     except Exception as e:  # noqa: BLE001 - single machine-readable funnel
         payload = {"error": {"type": type(e).__name__, "message": str(e)}}
         if isinstance(e, ConfigError) and e.violations:

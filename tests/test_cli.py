@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
 from spde_ch import cli, solver
 from spde_ch.basis import Basis
@@ -544,6 +545,36 @@ class TestCountOptions:
                 run(RunConfig.from_dict(data), force=force)
         assert not os.path.exists(data["outdir"])
 
+    @pytest.mark.parametrize("basis, solver, name, setting", [
+        ({"bc": "neumann", "dim": 2, "modes_per_axis": 16},
+         {"dt": 0.0002, "t_final": 0.002, "store_every": 5}, "time_lags",
+         r"solver\.t_final: t_final < 8 \* dt \* store_every empties the "
+         r"range \[0\.002, 0\.0005\]"),
+        ({"bc": "neumann", "dim": 1, "modes_per_axis": 6}, {}, "space_lags",
+         r"basis\.modes_per_axis: 2 \* spacing > pi/4 empties the range "
+         r"\[1\.047, 0\.7854\]"),
+        ({"bc": "dirichlet", "dim": 1, "modes_per_axis": 6}, {}, "space_lags",
+         r"basis\.modes_per_axis: 2 \* spacing > pi/4 empties the range "
+         r"\[0\.8976, 0\.7854\]")])
+    def test_regularity_defaults_blame_the_setting_that_empties_them(
+            self, tmp_path, monkeypatch, basis, solver, name, setting):
+        def simulate_must_not_run(*args, **kwargs):
+            raise AssertionError("a path ran before the lags were checked")
+
+        monkeypatch.setattr(cli, "simulate", simulate_must_not_run)
+        data = base_config(tmp_path, command="regularity", basis=basis,
+                           model={"sigma": 0.1})
+        data["solver"].update(solver)
+        for force in (False, True):
+            with pytest.raises(ConfigError, match=rf"^{setting} of the "
+                               f"default {name.replace('_', ' ')}$"):
+                run(RunConfig.from_dict(data), force=force)
+        # a lag the config sets keeps the message that names it
+        data["options"][name] = [0.5]
+        with pytest.raises(ConfigError, match=rf"^options\.{name}: "):
+            run(RunConfig.from_dict(data))
+        assert not os.path.exists(data["outdir"])
+
     def test_main_reports_the_option_even_with_force(self, tmp_path, capsys):
         data = base_config(tmp_path)
         data["options"]["paths"] = 0
@@ -830,12 +861,20 @@ def stage_width(events, name, n_paths):
 
 
 def pooled_widths(events, command, n_paths):
-    """The width of each stage of command that ran on more than one
-    process, in stage order."""
-    stages = (["simulate", "tangent_propagate"] if command == "malliavin"
-              else ["simulate"])
-    widths = [stage_width(events, name, n_paths) for name in stages]
-    return [w for w in widths if w > 1]
+    """[width] of the command's one stage where it ran on more than one
+    process, else []; malliavin's tangents run on the same width."""
+    width = stage_width(events, "simulate", n_paths)
+    if command == "malliavin":
+        assert stage_width(events, "tangent_propagate", n_paths) == width
+    return [width] if width > 1 else []
+
+
+class Odd(Exception):
+    """An error that pickles but that pickle cannot rebuild: its args hold
+    a only."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
 
 
 # At d=3, M=8 every default lag of regularity snaps to one grid lag, and
@@ -847,7 +886,7 @@ class TestPathPool:
     @pytest.mark.parametrize("command, paths, threads, widths", [
         ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
         ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
-        ("malliavin", 2, 3, [2, 2]), ("regularity", 4, 2, [2]),
+        ("malliavin", 2, 3, [2]), ("regularity", 4, 2, [2]),
     ])
     def test_pool_width_is_threads_capped_by_paths(self, tmp_path, monkeypatch,
                                                    command, paths, threads,
@@ -863,7 +902,7 @@ class TestPathPool:
         ("simulate", 3, 1, []), ("simulate", 3, 2, [2]),
         ("simulate", 3, 8, [3]), ("simulate", 1, 4, []),
         ("regularity", 3, 2, [2]), ("regularity", 2, 3, [2]),
-        ("malliavin", 3, 1, []), ("malliavin", 3, 2, [2, 2]),
+        ("malliavin", 3, 1, []), ("malliavin", 3, 2, [2]),
     ])
     def test_states_at_the_threshold_pool(self, tmp_path, monkeypatch,
                                           command, paths, threads, widths):
@@ -919,8 +958,7 @@ class TestPathPool:
         events = record_events(monkeypatch, tmp_path)
         run(RunConfig.from_dict(pooled_config(tmp_path, command)), threads=2)
         seen = events()
-        assert pooled_widths(seen, command, 3) == (
-            [2, 2] if command == "malliavin" else [2])
+        assert pooled_widths(seen, command, 3) == [2]
         assert [blas for _, name, _, blas, _ in seen
                 if name == "simulate"] == [1, 1, 1]
         assert all(blas == 1 for _, _, _, blas, _ in seen)
@@ -976,21 +1014,29 @@ class TestPathPool:
             assert serial[name] == pooled[name], name
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_malliavin_simulates_every_path_before_its_tangents(
-            self, tmp_path, monkeypatch, threads):
+    def test_malliavin_runs_each_path_in_one_task(self, tmp_path,
+                                                  monkeypatch, threads):
+        # each process simulates a path and propagates its tangent before
+        # it starts its next path, and holds no tangent state from the last
         events = record_events(monkeypatch, tmp_path)
         data = base_config(tmp_path, command="malliavin")
         data["options"]["paths"] = 3
         run(RunConfig.from_dict(data), threads=threads)
         seen = events()
-        assert [name for _, name, *_ in seen] == (
-            ["simulate"] * 3 + ["tangent_propagate"] * 3)
+        assert len(seen) == 6
+        assert all(held == 0 for *_, held in seen)
+        calls = {}
+        for pid, name, path, _, _ in seen:
+            calls.setdefault(pid, []).append((name, path))
+        for pid, pairs in calls.items():
+            assert pairs == [(name, path) for _, path in pairs[::2]
+                             for name in ("simulate", "tangent_propagate")]
         assert pooled_widths(seen, "malliavin", 3) == (
-            [threads, threads] if threads > 1 else [])
+            [threads] if threads > 1 else [])
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_malliavin_keeps_one_tangent_per_thread(self, tmp_path,
-                                                   monkeypatch, threads):
+    def test_malliavin_keeps_one_tangent_per_process(self, tmp_path,
+                                                    monkeypatch, threads):
         # every process holds no tangent state when it starts the next
         events = record_events(monkeypatch, tmp_path)
         data = base_config(tmp_path, command="malliavin")
@@ -1003,8 +1049,9 @@ class TestPathPool:
         assert all(held == 0 for _, held in tangents)
 
     def test_worker_failures_surface_and_leave_no_process(self):
-        # a path that raises here, one that raises in a forked worker, and
-        # a worker that exits without sending
+        # a path that raises here, one that raises in a forked worker, an
+        # error of a worker that pickle cannot rebuild or cannot pickle,
+        # and a worker that exits without sending
         def task(fail):
             def run_path(path):
                 if path == fail[0]:
@@ -1020,8 +1067,27 @@ class TestPathPool:
         def raise_lookup():
             raise LookupError("no such entry")
 
+        def raise_config():
+            raise ConfigError("options.thin: no")
+
+        def raise_memory():
+            raise _ArrayMemoryError((2**40,), np.dtype(float))
+
+        def raise_odd():
+            raise Odd("x", "y")
+
+        def raise_unpicklable():
+            raise ValueError("bad", lambda: 0)
+
         cases = [((0, raise_value), ValueError, "^bad value in path$"),
                  ((1, raise_lookup), LookupError, "^'?no such entry'?$"),
+                 ((1, raise_config), ConfigError, "^options.thin: no$"),
+                 ((1, raise_memory), _ArrayMemoryError,
+                  "^Unable to allocate 8.00 TiB "),
+                 ((1, raise_odd), RuntimeError,
+                  "^path worker 1 failed: Odd: x$"),
+                 ((1, raise_unpicklable), RuntimeError,
+                  r"^path worker 1 failed: ValueError: \('bad', <function"),
                  ((1, lambda: os._exit(3)), RuntimeError, r"exit code 3\b")]
         for fail, error, message in cases:
             start = time.monotonic()
@@ -1104,29 +1170,25 @@ class TestMain:
         base = RunConfig.from_dict(data)
         assert out["config_hash"] != base.config_hash()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        assert cli._resolve_threads(None) == 1
-        assert cli._resolve_threads(4) == 4
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        assert cli._resolve_threads(None) == 3
-        assert cli._resolve_threads(2) == 2
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        with pytest.raises(ConfigError, match="must be an integer"):
-            cli._resolve_threads(None)
-
     def test_env_threads_run_matches_serial(self, tmp_path, capsys,
                                             monkeypatch):
+        # --threads alone sets the width: an environment variable that
+        # once did leaves the paths in this process
         data = base_config(tmp_path, outdir=str(tmp_path / "serial"))
+        data["options"].update(paths=3, snapshots=True)
         path = write_config(tmp_path, data)
+        monkeypatch.setenv("SPDE_CH_THREADS", "3")
+        events = record_events(monkeypatch, tmp_path, names=("simulate",))
         assert main(["simulate", "--config", path]) == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
+        assert [pid for pid, *_ in events()] == [os.getpid()] * 3
         alt = str(tmp_path / "threaded")
-        assert main(["simulate", "--config", path, "--out", alt]) == 0
+        assert main(["simulate", "--config", path, "--out", alt,
+                     "--threads", "2"]) == 0
         capsys.readouterr()
-        a = open(os.path.join(data["outdir"], "paths.csv")).read()
-        b = open(os.path.join(alt, "paths.csv")).read()
-        assert a == b
+        assert pooled_widths(events()[3:], "simulate", 3) == [2]
+        serial = _output_bytes(data["outdir"])
+        assert "manifest.json" in serial and len(serial) == 4
+        assert _output_bytes(alt) == serial
 
 
 class TestFormatting:

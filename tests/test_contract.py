@@ -1,8 +1,9 @@
 """What every refactor must keep: the public names and the README example,
 with no public code outside them that nothing in the package reads.
 
-The third part of the contract, the CLI (configs, file formats, --threads
-and SPDE_CH_THREADS), is covered in tests/test_cli.py.
+The third part of the contract, the CLI (configs, file formats and
+--threads), is covered in tests/test_cli.py; here, only the shape of its
+path pool: one pooled stage per command, and --threads as its one knob.
 """
 
 import ast
@@ -223,3 +224,44 @@ def test_cli_commands_compute_and_run_writes():
     for name, params in handlers.items():
         assert params == ["config", "basis", "threads"], name
     assert cli.COMMANDS == tuple(cli._HANDLERS)
+
+
+def _pool_shape(source):
+    """({function: its _map_paths call sites} for every top-level function
+    of source that calls it, and the lines that read the environment)."""
+    tree = ast.parse(source)
+    stages = {}
+    for node in tree.body:
+        calls = sum(isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "_map_paths"
+                    for call in ast.walk(node))
+        if calls:
+            stages[getattr(node, "name", "<module>")] = calls
+    environ = sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in (
+            "environ", "environb", "getenv", "getenvb")
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(a.name.startswith(("environ", "getenv")) for a in node.names))
+    return stages, environ
+
+
+def test_the_pool_shape_rule_reads_calls_and_reads():
+    source = ("import os\nfrom os import getenv\n"
+              "def _cmd_a(c, b, t):\n"
+              "    def task(p):\n        return p\n"
+              "    x = _map_paths(task, 2, t)\n    return _map_paths(task, 1, t)\n"
+              "def _cmd_b(c, b, t):\n    return os.environ.get('X'), _map_paths\n")
+    assert _pool_shape(source) == ({"_cmd_a": 2}, [2, 9])
+
+
+def test_each_command_runs_one_pooled_stage_and_reads_no_environment():
+    """Only command handlers run paths, each through one _map_paths call,
+    and the CLI reads no environment variable: --threads alone sets the
+    width of the pool."""
+    with open(os.path.join(PKG, "cli.py")) as fh:
+        stages, environ = _pool_shape(fh.read())
+    assert stages == {"_cmd_simulate": 1, "_cmd_regularity": 1,
+                      "_cmd_malliavin": 1}
+    assert environ == []
